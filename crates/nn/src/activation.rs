@@ -26,13 +26,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            self.mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
-        }
-        x.relu()
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         if mode == Mode::Train {
             self.mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
@@ -95,28 +88,23 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
+        let mut y = scratch.take_tensor(x.dims());
         if mode == Mode::Eval || self.p == 0.0 {
             self.mask = None;
-            return x.clone();
+            y.data_mut().copy_from_slice(x.data());
+            return y;
         }
         let keep = 1.0 - self.p;
         let mut mask = Tensor::zeros(x.dims());
         for v in mask.data_mut() {
             *v = if self.rng.unit() < keep { 1.0 / keep } else { 0.0 };
         }
-        self.mask = Some(mask.clone());
-        x.zip_map(&mask, |a, m| a * m)
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Eval || self.p == 0.0 {
-            self.mask = None;
-            let mut y = scratch.take_tensor(x.dims());
-            y.data_mut().copy_from_slice(x.data());
-            return y;
+        for ((o, &a), &m) in y.data_mut().iter_mut().zip(x.data()).zip(mask.data()) {
+            *o = a * m;
         }
-        self.forward(x, mode)
+        self.mask = Some(mask);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

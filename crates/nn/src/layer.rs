@@ -20,13 +20,14 @@ pub enum Mode {
 ///
 /// The contract is the classic "define-by-layer" one:
 ///
-/// 1. `forward` consumes a batch-leading input (`[N, ...]`), caches
-///    whatever its backward pass needs, and produces the output.
+/// 1. `forward_scratch` consumes a batch-leading input (`[N, ...]`),
+///    caches whatever its backward pass needs when training, and produces
+///    the output; `forward` is the same pass on a throw-away arena.
 /// 2. `backward` receives the gradient of the loss with respect to that
 ///    output, **accumulates** gradients into its parameters, and returns
 ///    the gradient with respect to the input.
 ///
-/// `backward` must be preceded by a `forward` in `Mode::Train` on the same
+/// `backward` must be preceded by a forward in `Mode::Train` on the same
 /// data; implementations are allowed to panic otherwise.
 ///
 /// The trait is object-safe so networks can be composed as
@@ -34,25 +35,28 @@ pub enum Mode {
 /// cloning whole models, which the MAML inner loop relies on.
 pub trait Layer: Send + Sync {
     /// Runs the layer on `x`, caching backward state when training.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
-
-    /// Like [`Layer::forward`], but borrowing working buffers (and the
-    /// returned tensor's storage) from `scratch` instead of allocating.
     ///
-    /// The contract: the output is **bit-identical** to `forward`'s, and
-    /// in `Mode::Eval` an implementation must not touch the heap beyond
-    /// what `scratch` already pooled — this is what makes the
+    /// Provided: runs [`Layer::forward_scratch`] — the layer's one
+    /// forward body — on a fresh [`KernelScratch`], so the result is
+    /// bit-identical to it by construction. Implementors should not
+    /// override this. (Before the two were unified the default pointed
+    /// the other way: out-of-tree layers that implemented `forward` must
+    /// now move that body into `forward_scratch`.)
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_scratch(x, mode, &mut KernelScratch::new())
+    }
+
+    /// The forward pass, for both modes: working buffers and the returned
+    /// tensor's storage are borrowed from `scratch` instead of allocated.
+    ///
+    /// The contract: results must not depend on what the recycled buffers
+    /// held, and in `Mode::Eval` an implementation must not touch the heap
+    /// beyond what `scratch` already pooled — this is what makes the
     /// steady-state classify path allocation-free once warm. Callers
     /// recycle the returned tensor back into the same scratch when they
-    /// are done with it. `Mode::Train` paths may still allocate (their
-    /// backward caches live beyond the call).
-    ///
-    /// The default falls back to the allocating `forward`, so third-party
-    /// layers stay source-compatible.
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        let _ = scratch;
-        self.forward(x, mode)
-    }
+    /// are done with it. `Mode::Train` additionally writes the backward
+    /// caches, which may allocate (they live beyond the call).
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor;
 
     /// Back-propagates `grad_out`, accumulating parameter gradients and
     /// returning the gradient with respect to the last `forward` input.

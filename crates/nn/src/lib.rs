@@ -40,8 +40,7 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod conv2d;
-mod conv3d;
+mod conv;
 mod layer;
 mod linear;
 mod loss;
@@ -53,8 +52,7 @@ mod sequential;
 mod serialize;
 
 pub use activation::{Dropout, Relu};
-pub use conv2d::Conv2d;
-pub use conv3d::Conv3d;
+pub use conv::{Conv2d, Conv3d};
 pub use layer::{param_count, Layer, Mode};
 pub use linear::Linear;
 pub use loss::{accuracy, mean_class_accuracy, softmax_cross_entropy};

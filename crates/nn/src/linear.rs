@@ -60,15 +60,9 @@ impl Linear {
         self.out_features
     }
 
-    /// The int8 affine map: quantize the `[n, in]` input per row, run the
-    /// integer GEMM against the cached quantized weight, add the f32 bias.
-    fn forward_int8(
-        &self,
-        qw: &QTensor,
-        x: &Tensor,
-        y: &mut [f32],
-        scratch: &mut KernelScratch,
-    ) {
+    /// The int8 product `x Wᵀ`: quantize the `[n, in]` input per row and
+    /// run the integer GEMM against the cached quantized weight.
+    fn gemm_int8(&self, qw: &QTensor, x: &Tensor, y: &mut [f32], scratch: &mut KernelScratch) {
         let n = x.shape().dim(0);
         let (k, out) = (self.in_features, self.out_features);
         let mut qx = scratch.take_q(n * k);
@@ -77,70 +71,33 @@ impl Linear {
         qtensor::qgemm_transb_into(&qx, &xscales, qw.data(), qw.scales(), y, n, k, out);
         scratch.recycle_q(qx);
         scratch.recycle(xscales);
-        let b = self.bias.value.data();
-        for i in 0..n {
-            for (j, &bj) in b.iter().enumerate() {
-                y[i * out + j] += bj;
-            }
-        }
     }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert_eq!(x.shape().ndim(), 2, "Linear expects a [N, in] batch");
         assert_eq!(x.shape().dim(1), self.in_features, "Linear input width mismatch");
         if mode == Mode::Train {
             self.cached_input = Some(x.clone());
         }
-        if mode == Mode::Eval {
-            if let Some(qw) = self.qweight.take() {
-                // Int8 inference path; training above always stays f32.
-                let mut y = Tensor::zeros(&[x.shape().dim(0), self.out_features]);
-                self.forward_int8(&qw, x, y.data_mut(), &mut KernelScratch::new());
-                self.qweight = Some(qw);
-                return y;
-            }
-        }
-        let mut y = x.matmul(&self.weight.value.transpose());
-        let n = y.shape().dim(0);
-        let out = self.out_features;
-        let b = self.bias.value.data();
-        let data = y.data_mut();
-        for i in 0..n {
-            for (j, &bj) in b.iter().enumerate() {
-                data[i * out + j] += bj;
-            }
-        }
-        y
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            // Training caches outlive the call; the allocating path is fine.
-            return self.forward(x, mode);
-        }
-        assert_eq!(x.shape().ndim(), 2, "Linear expects a [N, in] batch");
-        assert_eq!(x.shape().dim(1), self.in_features, "Linear input width mismatch");
         let n = x.shape().dim(0);
         let out = self.out_features;
-        if let Some(qw) = self.qweight.take() {
-            let mut y = scratch.take_tensor(&[n, out]);
-            self.forward_int8(&qw, x, y.data_mut(), scratch);
-            self.qweight = Some(qw);
-            return y;
-        }
-        // W is stored [out, in], exactly the packed layout the transb
-        // kernel wants: y = x Wᵀ without materialising the transpose.
         let mut y = scratch.take_tensor(&[n, out]);
-        kernel::gemm_transb_into(
-            x.data(),
-            self.weight.value.data(),
-            y.data_mut(),
-            n,
-            self.in_features,
-            out,
-        );
+        match (&self.qweight, mode) {
+            // Int8 inference path; training always stays f32.
+            (Some(qw), Mode::Eval) => self.gemm_int8(qw, x, y.data_mut(), scratch),
+            // W is stored [out, in], exactly the packed layout the transb
+            // kernel wants: y = x Wᵀ without materialising the transpose.
+            _ => kernel::gemm_transb_into(
+                x.data(),
+                self.weight.value.data(),
+                y.data_mut(),
+                n,
+                self.in_features,
+                out,
+            ),
+        }
         let b = self.bias.value.data();
         let data = y.data_mut();
         for i in 0..n {
@@ -238,20 +195,18 @@ mod tests {
     }
 
     #[test]
-    fn int8_eval_tracks_f32_and_scratch_path_is_bit_identical() {
+    fn int8_eval_tracks_f32_and_f32_restore_is_exact() {
         let mut rng = TensorRng::seed_from(7);
         let mut fc = Linear::new(16, 5, &mut rng);
         let x = rng.uniform(&[3, 16], -1.0, 1.0);
         let exact = fc.forward(&x, Mode::Eval);
         fc.set_precision(Precision::Int8);
         let quant = fc.forward(&x, Mode::Eval);
+        assert_ne!(quant, exact, "int8 branch was not taken");
         assert!(
             quant.allclose(&exact, 0.05),
             "int8 affine drifted: {quant:?} vs {exact:?}"
         );
-        let mut scratch = KernelScratch::new();
-        let pooled = fc.forward_scratch(&x, Mode::Eval, &mut scratch);
-        assert_eq!(pooled, quant, "int8 scratch path diverged from forward");
         fc.set_precision(Precision::F32);
         assert_eq!(fc.forward(&x, Mode::Eval), exact, "f32 restore must be exact");
     }

@@ -76,27 +76,27 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims().to_vec();
-        let (n, rest) = self.split_dims(&dims);
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
+        let (n, rest) = self.split_dims(x.dims());
         let c = self.channels;
-        let count = (n * rest) as f32;
-        let mut out = x.clone();
-
-        let (means, vars): (Vec<f32>, Vec<f32>) = if mode == Mode::Train {
+        let xd = x.data();
+        // Training normalises with this batch's statistics (and folds them
+        // into the running ones); eval reads the running ones in place.
+        let batch_stats = (mode == Mode::Train).then(|| {
+            let count = (n * rest) as f32;
             let mut means = vec![0.0f32; c];
             let mut vars = vec![0.0f32; c];
             for ch in 0..c {
                 let mut sum = 0.0;
                 for i in 0..n {
                     let base = (i * c + ch) * rest;
-                    sum += x.data()[base..base + rest].iter().sum::<f32>();
+                    sum += xd[base..base + rest].iter().sum::<f32>();
                 }
                 means[ch] = sum / count;
                 let mut sq = 0.0;
                 for i in 0..n {
                     let base = (i * c + ch) * rest;
-                    sq += x.data()[base..base + rest]
+                    sq += xd[base..base + rest]
                         .iter()
                         .map(|&v| (v - means[ch]) * (v - means[ch]))
                         .sum::<f32>();
@@ -109,60 +109,14 @@ impl Layer for BatchNorm {
                 rv[ch] += self.momentum * (vars[ch] - rv[ch]);
             }
             (means, vars)
-        } else {
-            (
-                self.running_mean.data().to_vec(),
-                self.running_var.data().to_vec(),
-            )
+        });
+        let (means, vars) = match &batch_stats {
+            Some((means, vars)) => (means.as_slice(), vars.as_slice()),
+            None => (self.running_mean.data(), self.running_var.data()),
         };
-
-        let mut inv_std = vec![0.0f32; c];
-        for ch in 0..c {
-            inv_std[ch] = 1.0 / (vars[ch] + self.eps).sqrt();
-        }
-        let g = self.gamma.value.data().to_vec();
-        let b = self.beta.value.data().to_vec();
-        let mut xhat = Tensor::zeros(x.dims());
-        {
-            let xd = x.data();
-            let xh = xhat.data_mut();
-            let od = out.data_mut();
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * rest;
-                    for r in 0..rest {
-                        let h = (xd[base + r] - means[ch]) * inv_std[ch];
-                        xh[base + r] = h;
-                        od[base + r] = g[ch] * h + b[ch];
-                    }
-                }
-            }
-        }
-        if mode == Mode::Train {
-            self.cache = Some(BnCache {
-                xhat,
-                inv_std,
-                dims,
-            });
-        }
-        out
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
-        let (n, rest) = self.split_dims(x.dims());
-        let c = self.channels;
-        let mut out = scratch.take_tensor(x.dims());
-        // Running stats are read in place — the allocating forward's
-        // `.to_vec()` copies exist only to share code with the train
-        // branch. Arithmetic is kept expression-for-expression identical.
-        let means = self.running_mean.data();
-        let vars = self.running_var.data();
         let g = self.gamma.value.data();
         let b = self.beta.value.data();
-        let xd = x.data();
+        let mut out = scratch.take_tensor(x.dims());
         let od = out.data_mut();
         for i in 0..n {
             for ch in 0..c {
@@ -173,6 +127,24 @@ impl Layer for BatchNorm {
                     od[base + r] = g[ch] * h + b[ch];
                 }
             }
+        }
+        if mode == Mode::Train {
+            let inv_std: Vec<f32> = vars.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+            let mut xhat = Tensor::zeros(x.dims());
+            let xh = xhat.data_mut();
+            for i in 0..n {
+                for ch in 0..c {
+                    let base = (i * c + ch) * rest;
+                    for r in 0..rest {
+                        xh[base + r] = (xd[base + r] - means[ch]) * inv_std[ch];
+                    }
+                }
+            }
+            self.cache = Some(BnCache {
+                xhat,
+                inv_std,
+                dims: x.dims().to_vec(),
+            });
         }
         out
     }

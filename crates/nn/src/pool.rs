@@ -40,7 +40,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert_eq!(x.shape().ndim(), 4, "MaxPool2d expects [N, C, H, W]");
         let (n, c, h, w) = (
             x.shape().dim(0),
@@ -51,8 +51,9 @@ impl Layer for MaxPool2d {
         assert!(h >= self.kernel && w >= self.kernel, "input smaller than window");
         let oh = (h - self.kernel) / self.stride + 1;
         let ow = (w - self.kernel) / self.stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut winners = vec![0usize; n * c * oh * ow];
+        let mut out = scratch.take_tensor(&[n, c, oh, ow]);
+        // Eval never back-propagates, so only training records winners.
+        let mut winners = (mode == Mode::Train).then(|| vec![0usize; n * c * oh * ow]);
         let xd = x.data();
         let od = out.data_mut();
         for i in 0..n {
@@ -74,57 +75,16 @@ impl Layer for MaxPool2d {
                             }
                         }
                         od[obase + oy * ow + ox] = best;
-                        winners[obase + oy * ow + ox] = best_idx;
+                        if let Some(winners) = &mut winners {
+                            winners[obase + oy * ow + ox] = best_idx;
+                        }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
+        if let Some(winners) = winners {
             self.in_dims = x.dims().to_vec();
             self.argmax = Some((winners, vec![n, c, oh, ow]));
-        }
-        out
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
-        assert_eq!(x.shape().ndim(), 4, "MaxPool2d expects [N, C, H, W]");
-        let (n, c, h, w) = (
-            x.shape().dim(0),
-            x.shape().dim(1),
-            x.shape().dim(2),
-            x.shape().dim(3),
-        );
-        assert!(h >= self.kernel && w >= self.kernel, "input smaller than window");
-        let oh = (h - self.kernel) / self.stride + 1;
-        let ow = (w - self.kernel) / self.stride + 1;
-        let mut out = scratch.take_tensor(&[n, c, oh, ow]);
-        let xd = x.data();
-        let od = out.data_mut();
-        // Same scan as `forward` minus the winner bookkeeping (eval never
-        // back-propagates, so the argmax vec would be dead weight).
-        for i in 0..n {
-            for ch in 0..c {
-                let ibase = (i * c + ch) * h * w;
-                let obase = (i * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let idx =
-                                    ibase + (oy * self.stride + ky) * w + ox * self.stride + kx;
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                }
-                            }
-                        }
-                        od[obase + oy * ow + ox] = best;
-                    }
-                }
-            }
         }
         out
     }
@@ -179,7 +139,7 @@ impl MaxPool3d {
 }
 
 impl Layer for MaxPool3d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert_eq!(x.shape().ndim(), 5, "MaxPool3d expects [N, C, T, H, W]");
         let (n, c, t, h, w) = (
             x.shape().dim(0),
@@ -194,8 +154,8 @@ impl Layer for MaxPool3d {
         let ot = (t - kt) / st + 1;
         let oh = (h - ks) / ss + 1;
         let ow = (w - ks) / ss + 1;
-        let mut out = Tensor::zeros(&[n, c, ot, oh, ow]);
-        let mut winners = vec![0usize; n * c * ot * oh * ow];
+        let mut out = scratch.take_tensor(&[n, c, ot, oh, ow]);
+        let mut winners = (mode == Mode::Train).then(|| vec![0usize; n * c * ot * oh * ow]);
         let xd = x.data();
         let od = out.data_mut();
         for i in 0..n {
@@ -224,67 +184,17 @@ impl Layer for MaxPool3d {
                             }
                             let o = obase + oti * oh * ow + oy * ow + ox;
                             od[o] = best;
-                            winners[o] = best_idx;
+                            if let Some(winners) = &mut winners {
+                                winners[o] = best_idx;
+                            }
                         }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
+        if let Some(winners) = winners {
             self.in_dims = x.dims().to_vec();
             self.argmax = Some(winners);
-        }
-        out
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
-        assert_eq!(x.shape().ndim(), 5, "MaxPool3d expects [N, C, T, H, W]");
-        let (n, c, t, h, w) = (
-            x.shape().dim(0),
-            x.shape().dim(1),
-            x.shape().dim(2),
-            x.shape().dim(3),
-            x.shape().dim(4),
-        );
-        let (kt, ks) = self.kernel;
-        let (st, ss) = self.stride;
-        assert!(t >= kt && h >= ks && w >= ks, "input smaller than window");
-        let ot = (t - kt) / st + 1;
-        let oh = (h - ks) / ss + 1;
-        let ow = (w - ks) / ss + 1;
-        let mut out = scratch.take_tensor(&[n, c, ot, oh, ow]);
-        let xd = x.data();
-        let od = out.data_mut();
-        for i in 0..n {
-            for ch in 0..c {
-                let ibase = (i * c + ch) * t * h * w;
-                let obase = (i * c + ch) * ot * oh * ow;
-                for oti in 0..ot {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            for ktt in 0..kt {
-                                for ky in 0..ks {
-                                    for kx in 0..ks {
-                                        let idx = ibase
-                                            + (oti * st + ktt) * h * w
-                                            + (oy * ss + ky) * w
-                                            + ox * ss
-                                            + kx;
-                                        if xd[idx] > best {
-                                            best = xd[idx];
-                                        }
-                                    }
-                                }
-                            }
-                            od[obase + oti * oh * ow + oy * ow + ox] = best;
-                        }
-                    }
-                }
-            }
         }
         out
     }
@@ -329,28 +239,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert!(x.shape().ndim() >= 3, "GlobalAvgPool expects [N, C, ...]");
-        let (n, c) = (x.shape().dim(0), x.shape().dim(1));
-        let rest: usize = x.dims()[2..].iter().product();
-        let mut out = Tensor::zeros(&[n, c]);
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * rest;
-                out.data_mut()[i * c + ch] =
-                    x.data()[base..base + rest].iter().sum::<f32>() / rest as f32;
-            }
-        }
-        if mode == Mode::Train {
-            self.in_dims = x.dims().to_vec();
-        }
-        out
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert!(x.shape().ndim() >= 3, "GlobalAvgPool expects [N, C, ...]");
         let (n, c) = (x.shape().dim(0), x.shape().dim(1));
         let rest: usize = x.dims()[2..].iter().product();
@@ -362,6 +251,9 @@ impl Layer for GlobalAvgPool {
                 let base = (i * c + ch) * rest;
                 od[i * c + ch] = xd[base..base + rest].iter().sum::<f32>() / rest as f32;
             }
+        }
+        if mode == Mode::Train {
+            self.in_dims = x.dims().to_vec();
         }
         out
     }
@@ -407,24 +299,13 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert!(x.shape().ndim() >= 2, "Flatten expects a batched input");
         let n = x.shape().dim(0);
         let rest = x.len() / n;
         if mode == Mode::Train {
             self.in_dims = x.dims().to_vec();
         }
-        x.reshape(&[n, rest])
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
-        assert!(x.shape().ndim() >= 2, "Flatten expects a batched input");
-        let n = x.shape().dim(0);
-        let rest = x.len() / n;
-        // `reshape` clones the data; do the same copy into pooled storage.
         let mut out = scratch.take_tensor(&[n, rest]);
         out.data_mut().copy_from_slice(x.data());
         out

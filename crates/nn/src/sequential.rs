@@ -75,14 +75,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, mode);
-        }
-        h
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             // An empty stack is the identity; copy so the caller can
@@ -229,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_scratch_is_bit_identical_and_pool_reaches_fixed_point() {
+    fn warm_shared_scratch_matches_cold_forward_and_pool_reaches_fixed_point() {
         use crate::{Conv2d, Dropout, Flatten, GlobalAvgPool, MaxPool2d};
         let mut rng = TensorRng::seed_from(3);
         let mut net = Sequential::new(vec![
@@ -245,17 +237,21 @@ mod tests {
             Box::new(Linear::new(6, 3, &mut rng)),
         ]);
         let x = rng.uniform(&[2, 1, 12, 12], -1.0, 1.0);
-        let plain = net.forward(&x, Mode::Eval);
+        let cold = net.forward(&x, Mode::Eval);
+        // A scratch that already served another shape hands out recycled,
+        // differently-sized buffers; none of that may reach the result.
         let mut scratch = safecross_tensor::KernelScratch::new();
+        let other = net.forward_scratch(&rng.uniform(&[3, 1, 9, 10], -1.0, 1.0), Mode::Eval, &mut scratch);
+        scratch.recycle_tensor(other);
         for _ in 0..3 {
-            let pooled = net.forward_scratch(&x, Mode::Eval, &mut scratch);
-            assert_eq!(pooled, plain, "scratch path diverged from forward");
-            scratch.recycle_tensor(pooled);
+            let warm = net.forward_scratch(&x, Mode::Eval, &mut scratch);
+            assert_eq!(warm, cold, "recycled buffers leaked into the result");
+            scratch.recycle_tensor(warm);
         }
         // Once warm, repeated passes must cycle the same buffer set.
         let settled = scratch.pooled_buffers();
-        let pooled = net.forward_scratch(&x, Mode::Eval, &mut scratch);
-        scratch.recycle_tensor(pooled);
+        let warm = net.forward_scratch(&x, Mode::Eval, &mut scratch);
+        scratch.recycle_tensor(warm);
         assert_eq!(scratch.pooled_buffers(), settled, "pool kept growing");
     }
 

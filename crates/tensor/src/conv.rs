@@ -1,52 +1,13 @@
-//! `im2col`/`vol2col` lowering for 2-D and 3-D convolutions.
+//! `vol2col` lowering for convolutions.
 //!
 //! Convolutions in `safecross-nn` are computed as matrix products between a
 //! reshaped weight matrix and a patch matrix produced here, which is the
 //! standard CPU lowering (and what cuDNN's GEMM algorithms do internally).
+//! A 2-D convolution is the `frames = kernel_t = stride_t = 1, pad_t = 0`
+//! case: patch rows come out in `(c, ky, kx)` order and columns in
+//! `(oy, ox)` order, exactly the classic im2col layout.
 
 use crate::Tensor;
-
-/// Geometry of a 2-D convolution over a `[C, H, W]` input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conv2dGeom {
-    /// Input channels.
-    pub in_channels: usize,
-    /// Input height.
-    pub height: usize,
-    /// Input width.
-    pub width: usize,
-    /// Square kernel side.
-    pub kernel: usize,
-    /// Stride in both directions.
-    pub stride: usize,
-    /// Zero padding on all four sides.
-    pub padding: usize,
-}
-
-impl Conv2dGeom {
-    /// Output height after convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel does not fit in the padded input.
-    pub fn out_height(&self) -> usize {
-        out_extent(self.height, self.kernel, self.stride, self.padding)
-    }
-
-    /// Output width after convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel does not fit in the padded input.
-    pub fn out_width(&self) -> usize {
-        out_extent(self.width, self.kernel, self.stride, self.padding)
-    }
-
-    /// Rows of the patch matrix (`C * k * k`).
-    pub fn patch_len(&self) -> usize {
-        self.in_channels * self.kernel * self.kernel
-    }
-}
 
 /// Geometry of a 3-D convolution over a `[C, T, H, W]` input.
 ///
@@ -108,120 +69,9 @@ fn out_extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
     (padded - kernel) / stride + 1
 }
 
-/// Lowers a `[C, H, W]` image (as a raw row-major slice) into a
-/// `[C*k*k, outH*outW]` patch matrix written into `out`, without
-/// allocating. This is the scratch-buffer entry point the zero-allocation
-/// classify path uses; [`im2col`] is the allocating wrapper.
-///
-/// # Panics
-///
-/// Panics if `data` or `out` lengths disagree with the geometry.
-pub fn im2col_into(data: &[f32], g: &Conv2dGeom, out: &mut [f32]) {
-    assert_eq!(
-        data.len(),
-        g.in_channels * g.height * g.width,
-        "im2col input length mismatch"
-    );
-    let (oh, ow) = (g.out_height(), g.out_width());
-    let cols = oh * ow;
-    let rows = g.patch_len();
-    assert_eq!(out.len(), rows * cols, "im2col output length mismatch");
-    let hw = g.height * g.width;
-    let mut row = 0;
-    for c in 0..g.in_channels {
-        for ky in 0..g.kernel {
-            for kx in 0..g.kernel {
-                let base = row * cols;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                        let v = if iy >= 0
-                            && iy < g.height as isize
-                            && ix >= 0
-                            && ix < g.width as isize
-                        {
-                            data[c * hw + iy as usize * g.width + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        out[base + oy * ow + ox] = v;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
-/// Lowers a `[C, H, W]` image into a `[C*k*k, outH*outW]` patch matrix.
-///
-/// # Panics
-///
-/// Panics if `input` does not match the geometry.
-pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
-    assert_eq!(
-        input.dims(),
-        &[g.in_channels, g.height, g.width],
-        "im2col input shape mismatch"
-    );
-    let (oh, ow) = (g.out_height(), g.out_width());
-    let cols = oh * ow;
-    let rows = g.patch_len();
-    let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input.data(), g, &mut out);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// Scatters a `[C*k*k, outH*outW]` patch-gradient matrix back to `[C, H, W]`.
-///
-/// This is the adjoint of [`im2col`] and accumulates overlapping patches.
-///
-/// # Panics
-///
-/// Panics if `cols` does not match the geometry.
-pub fn col2im(cols_t: &Tensor, g: &Conv2dGeom) -> Tensor {
-    let (oh, ow) = (g.out_height(), g.out_width());
-    let cols = oh * ow;
-    assert_eq!(
-        cols_t.dims(),
-        &[g.patch_len(), cols],
-        "col2im input shape mismatch"
-    );
-    let mut out = Tensor::zeros(&[g.in_channels, g.height, g.width]);
-    let hw = g.height * g.width;
-    let src = cols_t.data();
-    let dst = out.data_mut();
-    let mut row = 0;
-    for c in 0..g.in_channels {
-        for ky in 0..g.kernel {
-            for kx in 0..g.kernel {
-                let base = row * cols;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                    if iy < 0 || iy >= g.height as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                        if ix < 0 || ix >= g.width as isize {
-                            continue;
-                        }
-                        dst[c * hw + iy as usize * g.width + ix as usize] +=
-                            src[base + oy * ow + ox];
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Lowers a `[C, T, H, W]` clip (as a raw row-major slice) into a
 /// `[C*kt*ks*ks, oT*oH*oW]` patch matrix written into `out`, without
-/// allocating. This is the scratch-buffer entry point the zero-allocation
-/// classify path uses; [`vol2col`] is the allocating wrapper.
+/// allocating.
 ///
 /// # Panics
 ///
@@ -275,26 +125,7 @@ pub fn vol2col_into(data: &[f32], g: &Conv3dGeom, out: &mut [f32]) {
     }
 }
 
-/// Lowers a `[C, T, H, W]` clip into a `[C*kt*ks*ks, oT*oH*oW]` patch matrix.
-///
-/// # Panics
-///
-/// Panics if `input` does not match the geometry.
-pub fn vol2col(input: &Tensor, g: &Conv3dGeom) -> Tensor {
-    assert_eq!(
-        input.dims(),
-        &[g.in_channels, g.frames, g.height, g.width],
-        "vol2col input shape mismatch"
-    );
-    let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
-    let cols = ot * oh * ow;
-    let rows = g.patch_len();
-    let mut out = vec![0.0f32; rows * cols];
-    vol2col_into(input.data(), g, &mut out);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// Adjoint of [`vol2col`]: scatters patch gradients back to `[C, T, H, W]`.
+/// Adjoint of [`vol2col_into`]: scatters patch gradients back to `[C, T, H, W]`.
 ///
 /// # Panics
 ///
@@ -352,6 +183,14 @@ pub fn col2vol(cols_t: &Tensor, g: &Conv3dGeom) -> Tensor {
 mod tests {
     use super::*;
 
+    fn vol2col(input: &Tensor, g: &Conv3dGeom) -> Tensor {
+        assert_eq!(input.dims(), &[g.in_channels, g.frames, g.height, g.width]);
+        let cols = g.out_frames() * g.out_height() * g.out_width();
+        let mut out = vec![0.0f32; g.patch_len() * cols];
+        vol2col_into(input.data(), g, &mut out);
+        Tensor::from_vec(out, &[g.patch_len(), cols])
+    }
+
     #[test]
     fn out_extent_formula() {
         assert_eq!(out_extent(5, 3, 1, 0), 3);
@@ -359,51 +198,46 @@ mod tests {
         assert_eq!(out_extent(8, 3, 2, 1), 4);
     }
 
+    /// A 2-D convolution's geometry: one frame, no temporal extent.
+    fn geom2d(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> Conv3dGeom {
+        Conv3dGeom {
+            in_channels: c,
+            frames: 1,
+            height: h,
+            width: w,
+            kernel_t: 1,
+            kernel_s: k,
+            stride_t: 1,
+            stride_s: s,
+            pad_t: 0,
+            pad_s: p,
+        }
+    }
+
     #[test]
-    fn im2col_identity_kernel() {
+    fn single_frame_identity_kernel() {
         // 1x1 kernel, stride 1: patch matrix equals the flattened image.
-        let g = Conv2dGeom {
-            in_channels: 1,
-            height: 2,
-            width: 3,
-            kernel: 1,
-            stride: 1,
-            padding: 0,
-        };
-        let img = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[1, 2, 3]);
-        let cols = im2col(&img, &g);
+        let g = geom2d(1, 2, 3, 1, 1, 0);
+        let img = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[1, 1, 2, 3]);
+        let cols = vol2col(&img, &g);
         assert_eq!(cols.dims(), &[1, 6]);
         assert_eq!(cols.data(), img.data());
     }
 
     #[test]
-    fn im2col_3x3_single_patch() {
-        let g = Conv2dGeom {
-            in_channels: 1,
-            height: 3,
-            width: 3,
-            kernel: 3,
-            stride: 1,
-            padding: 0,
-        };
-        let img = Tensor::from_vec((0..9).map(|x| x as f32).collect(), &[1, 3, 3]);
-        let cols = im2col(&img, &g);
+    fn single_frame_3x3_single_patch() {
+        let g = geom2d(1, 3, 3, 3, 1, 0);
+        let img = Tensor::from_vec((0..9).map(|x| x as f32).collect(), &[1, 1, 3, 3]);
+        let cols = vol2col(&img, &g);
         assert_eq!(cols.dims(), &[9, 1]);
         assert_eq!(cols.data(), img.data());
     }
 
     #[test]
-    fn im2col_padding_produces_zeros() {
-        let g = Conv2dGeom {
-            in_channels: 1,
-            height: 1,
-            width: 1,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let img = Tensor::from_vec(vec![7.0], &[1, 1, 1]);
-        let cols = im2col(&img, &g);
+    fn single_frame_padding_produces_zeros() {
+        let g = geom2d(1, 1, 1, 3, 1, 1);
+        let img = Tensor::from_vec(vec![7.0], &[1, 1, 1, 1]);
+        let cols = vol2col(&img, &g);
         assert_eq!(cols.dims(), &[9, 1]);
         // The centre tap sees the pixel, everything else is padding.
         assert_eq!(cols.data().iter().filter(|&&v| v == 7.0).count(), 1);
@@ -412,27 +246,40 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for arbitrary x, y.
-        let g = Conv2dGeom {
-            in_channels: 2,
-            height: 5,
-            width: 4,
-            kernel: 3,
-            stride: 2,
-            padding: 1,
-        };
+    fn single_frame_rows_are_channel_ky_kx_and_columns_oy_ox() {
+        // The layout a 2-D convolution's [out, C*k*k] weight relies on.
+        let g = geom2d(2, 2, 3, 2, 1, 0);
+        let img = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 1, 2, 3]);
+        let cols = vol2col(&img, &g);
+        assert_eq!(cols.dims(), &[8, 2]);
+        let expect: [[f32; 2]; 8] = [
+            [0.0, 1.0], // c0 ky0 kx0
+            [1.0, 2.0], // c0 ky0 kx1
+            [3.0, 4.0], // c0 ky1 kx0
+            [4.0, 5.0], // c0 ky1 kx1
+            [6.0, 7.0], // c1 ...
+            [7.0, 8.0],
+            [9.0, 10.0],
+            [10.0, 11.0],
+        ];
+        assert_eq!(cols.data(), expect.concat().as_slice());
+    }
+
+    #[test]
+    fn single_frame_col2vol_is_adjoint_of_vol2col() {
+        // <vol2col(x), y> == <x, col2vol(y)> for arbitrary x, y.
+        let g = geom2d(2, 5, 4, 3, 2, 1);
         let x = Tensor::from_vec(
             (0..2 * 5 * 4).map(|i| (i as f32 * 0.37).sin()).collect(),
-            &[2, 5, 4],
+            &[2, 1, 5, 4],
         );
-        let cols = im2col(&x, &g);
+        let cols = vol2col(&x, &g);
         let y = Tensor::from_vec(
             (0..cols.len()).map(|i| (i as f32 * 0.11).cos()).collect(),
             cols.dims(),
         );
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
-        let back = col2im(&y, &g);
+        let back = col2vol(&y, &g);
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(&a, &b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -518,22 +365,17 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_matches_allocating_wrapper() {
-        let g = Conv2dGeom {
-            in_channels: 2,
-            height: 4,
-            width: 5,
-            kernel: 3,
-            stride: 2,
-            padding: 1,
-        };
+    fn vol2col_into_overwrites_a_dirty_buffer() {
+        // Scratch buffers arrive recycled, so every element — padding
+        // zeros included — must be written.
+        let g = geom2d(2, 4, 5, 3, 2, 1);
         let img = Tensor::from_vec(
             (0..2 * 4 * 5).map(|i| (i as f32 * 0.13).sin()).collect(),
-            &[2, 4, 5],
+            &[2, 1, 4, 5],
         );
-        let cols = im2col(&img, &g);
+        let cols = vol2col(&img, &g);
         let mut buf = vec![f32::NAN; cols.len()];
-        im2col_into(img.data(), &g, &mut buf);
+        vol2col_into(img.data(), &g, &mut buf);
         assert_eq!(buf.as_slice(), cols.data());
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Every forward pass in the workspace bottoms out in the two GEMM entry
 //! points here ([`gemm_into`] / [`gemm_transb_into`]); convolutions lower
-//! through `im2col`/`vol2col` into them and the linear head hits them
+//! through `vol2col` into them and the linear head hits them
 //! directly. The layer provides three things:
 //!
 //! 1. **Deterministic parallelism.** A GEMM's output is partitioned into

@@ -4,13 +4,13 @@
 //! as the numeric substrate for the SafeCross reproduction. It provides
 //! exactly the operations the neural-network crate ([`safecross-nn`]) needs:
 //! row-major dense storage, broadcast-free elementwise arithmetic, 2-D
-//! matrix multiplication, axis reductions, and the `im2col`/`vol2col`
-//! lowering used by 2-D and 3-D convolutions.
+//! matrix multiplication, axis reductions, and the `vol2col` lowering used
+//! by 2-D and 3-D convolutions.
 //!
 //! The paper's original system runs on PyTorch/CUDA; this crate is the
 //! CPU substitution documented in `DESIGN.md`. It favours clarity and
 //! testability over raw throughput, while keeping the hot paths (matmul,
-//! im2col) cache-friendly enough to train the miniature video classifiers
+//! vol2col) cache-friendly enough to train the miniature video classifiers
 //! on a laptop-class CPU.
 //!
 //! ## Example
@@ -45,9 +45,7 @@ mod shape;
 mod tensor;
 
 pub use blob::{content_hash, fnv1a, ContentHasher};
-pub use conv::{
-    col2im, col2vol, im2col, im2col_into, vol2col, vol2col_into, Conv2dGeom, Conv3dGeom,
-};
+pub use conv::{col2vol, vol2col_into, Conv3dGeom};
 pub use kernel::{Isa, KernelConfig, KernelScratch};
 pub use qtensor::{Precision, QTensor};
 pub use random::TensorRng;

@@ -1,6 +1,6 @@
 //! Property-based tests over the tensor core.
 
-use crate::{col2im, im2col, Conv2dGeom, Tensor};
+use crate::{col2vol, vol2col_into, Conv3dGeom, Tensor};
 use proptest::prelude::*;
 
 fn small_tensor() -> impl Strategy<Value = Tensor> {
@@ -69,19 +69,27 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(
+    fn vol2col_col2vol_adjoint(
         seed in 0u64..500,
-        c in 1usize..3, h in 3usize..7, w in 3usize..7,
+        c in 1usize..3, t in 1usize..5, h in 3usize..7, w in 3usize..7,
+        kt in 1usize..4, st in 1usize..3, pt in 0usize..2,
         k in 1usize..4, s in 1usize..3, p in 0usize..2,
     ) {
-        prop_assume!(h + 2 * p >= k && w + 2 * p >= k);
-        let g = Conv2dGeom { in_channels: c, height: h, width: w, kernel: k, stride: s, padding: p };
+        // A quarter of the draws are the 2-D (im2col) geometry.
+        let (kt, st, pt) = if t == 1 { (1, 1, 0) } else { (kt, st, pt) };
+        prop_assume!(t + 2 * pt >= kt && h + 2 * p >= k && w + 2 * p >= k);
+        let g = Conv3dGeom {
+            in_channels: c, frames: t, height: h, width: w,
+            kernel_t: kt, kernel_s: k, stride_t: st, stride_s: s, pad_t: pt, pad_s: p,
+        };
         let mut rng = crate::TensorRng::seed_from(seed);
-        let x = rng.uniform(&[c, h, w], -1.0, 1.0);
-        let cols = im2col(&x, &g);
-        let y = rng.uniform(cols.dims(), -1.0, 1.0);
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
-        let back = col2im(&y, &g);
+        let x = rng.uniform(&[c, t, h, w], -1.0, 1.0);
+        let plane = g.out_frames() * g.out_height() * g.out_width();
+        let mut cols = vec![0.0f32; g.patch_len() * plane];
+        vol2col_into(x.data(), &g, &mut cols);
+        let y = rng.uniform(&[g.patch_len(), plane], -1.0, 1.0);
+        let lhs: f32 = cols.iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
+        let back = col2vol(&y, &g);
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(&a, &b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2, "{} vs {}", lhs, rhs);
     }

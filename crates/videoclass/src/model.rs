@@ -38,17 +38,23 @@ impl ForwardTelemetry {
 /// adaptation.
 pub trait VideoClassifier: Send + Sync {
     /// Runs the classifier on a clip batch.
-    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor;
-
-    /// Like [`VideoClassifier::forward`], borrowing working buffers (and
-    /// the returned logits' storage) from `scratch`. Logits are
-    /// bit-identical to `forward`'s; in `Mode::Eval` the in-repo models
-    /// allocate nothing once the scratch is warm. The default falls back
-    /// to the allocating `forward`.
-    fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        let _ = scratch;
-        self.forward(clips, mode)
+    ///
+    /// Provided: runs [`VideoClassifier::forward_scratch`] — the model's
+    /// one forward body — on a fresh [`KernelScratch`], so logits are
+    /// bit-identical to it by construction. Implementors should not
+    /// override this. (Before the two were unified the default pointed
+    /// the other way: out-of-tree classifiers that implemented `forward`
+    /// must now move that body into `forward_scratch`.)
+    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor {
+        self.forward_scratch(clips, mode, &mut KernelScratch::new())
     }
+
+    /// The forward pass, for both modes, borrowing working buffers (and
+    /// the returned logits' storage) from `scratch`. Logits must not
+    /// depend on what the recycled buffers held; in `Mode::Eval` the
+    /// in-repo models allocate nothing once the scratch is warm, while
+    /// `Mode::Train` additionally writes the backward caches.
+    fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor;
 
     /// Attaches a telemetry registry: subsequent forward passes record
     /// wall time and counts under `vc.<family>.*`. Instrumentation never
@@ -166,39 +172,14 @@ pub trait VideoClassifier: Send + Sync {
 }
 
 /// Selects every `stride`-th frame of a `[N, C, T, H, W]` clip,
-/// producing `[N, C, T/stride, H, W]` — the Slow pathway's input sampling
-/// and the lateral connections' temporal alignment.
+/// producing `[N, C, T/stride, H, W]` in a scratch-pooled tensor — the
+/// Slow pathway's input sampling and the lateral connections' temporal
+/// alignment.
 ///
 /// # Panics
 ///
 /// Panics if the input is not 5-D or `stride` does not divide `T`.
-pub fn temporal_subsample(x: &Tensor, stride: usize) -> Tensor {
-    assert_eq!(x.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    assert!(stride > 0, "stride must be positive");
-    let (n, c, t, h, w) = dims5(x);
-    assert_eq!(t % stride, 0, "stride {stride} must divide T={t}");
-    let ot = t / stride;
-    let mut out = Tensor::zeros(&[n, c, ot, h, w]);
-    let hw = h * w;
-    for i in 0..n {
-        for ch in 0..c {
-            for ti in 0..ot {
-                let src = ((i * c + ch) * t + ti * stride) * hw;
-                let dst = ((i * c + ch) * ot + ti) * hw;
-                out.data_mut()[dst..dst + hw].copy_from_slice(&x.data()[src..src + hw]);
-            }
-        }
-    }
-    out
-}
-
-/// [`temporal_subsample`] into a scratch-pooled tensor: identical output,
-/// no allocation once the scratch is warm.
-///
-/// # Panics
-///
-/// Panics if the input is not 5-D or `stride` does not divide `T`.
-pub fn temporal_subsample_scratch(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
+pub fn temporal_subsample(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(x.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert!(stride > 0, "stride must be positive");
     let (n, c, t, h, w) = dims5(x);
@@ -242,41 +223,13 @@ pub fn temporal_upsample_grad(grad: &Tensor, stride: usize, full_t: usize) -> Te
     out
 }
 
-/// Concatenates two `[N, C, T, H, W]` clips along the channel axis.
+/// Concatenates two `[N, C, T, H, W]` clips along the channel axis into
+/// a scratch-pooled tensor.
 ///
 /// # Panics
 ///
 /// Panics on non-5-D inputs or mismatched non-channel dimensions.
-pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    assert_eq!(b.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    let (n, ca, t, h, w) = dims5(a);
-    let (nb, cb, tb, hb, wb) = dims5(b);
-    assert_eq!((n, t, h, w), (nb, tb, hb, wb), "non-channel dims must match");
-    let mut out = Tensor::zeros(&[n, ca + cb, t, h, w]);
-    let chunk = t * h * w;
-    for i in 0..n {
-        for ch in 0..ca {
-            let src = (i * ca + ch) * chunk;
-            let dst = (i * (ca + cb) + ch) * chunk;
-            out.data_mut()[dst..dst + chunk].copy_from_slice(&a.data()[src..src + chunk]);
-        }
-        for ch in 0..cb {
-            let src = (i * cb + ch) * chunk;
-            let dst = (i * (ca + cb) + ca + ch) * chunk;
-            out.data_mut()[dst..dst + chunk].copy_from_slice(&b.data()[src..src + chunk]);
-        }
-    }
-    out
-}
-
-/// [`concat_channels`] into a scratch-pooled tensor: identical output,
-/// no allocation once the scratch is warm.
-///
-/// # Panics
-///
-/// Panics on non-5-D inputs or mismatched non-channel dimensions.
-pub fn concat_channels_scratch(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
+pub fn concat_channels(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(a.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert_eq!(b.shape().ndim(), 5, "expected [N, C, T, H, W]");
     let (n, ca, t, h, w) = dims5(a);
@@ -347,7 +300,7 @@ mod tests {
     #[test]
     fn subsample_picks_strided_frames() {
         let x = seq_clip(1, 1, 4, 1, 2);
-        let y = temporal_subsample(&x, 2);
+        let y = temporal_subsample(&x, 2, &mut KernelScratch::new());
         assert_eq!(y.dims(), &[1, 1, 2, 1, 2]);
         assert_eq!(y.data(), &[0.0, 1.0, 4.0, 5.0]); // frames 0 and 2
     }
@@ -355,7 +308,7 @@ mod tests {
     #[test]
     fn subsample_upsample_adjoint() {
         let x = seq_clip(2, 3, 8, 2, 2);
-        let y = temporal_subsample(&x, 4);
+        let y = temporal_subsample(&x, 4, &mut KernelScratch::new());
         let g = y.map(|v| v * 0.5);
         let back = temporal_upsample_grad(&g, 4, 8);
         // <subsample(x), g> == <x, upsample(g)>
@@ -368,7 +321,7 @@ mod tests {
     fn concat_then_split_roundtrip() {
         let a = seq_clip(2, 2, 3, 2, 2);
         let b = a.map(|v| -v);
-        let cat = concat_channels(&a, &b);
+        let cat = concat_channels(&a, &b, &mut KernelScratch::new());
         assert_eq!(cat.dims(), &[2, 4, 3, 2, 2]);
         let (ga, gb) = split_channels(&cat, 2);
         assert_eq!(ga, a);
@@ -379,13 +332,13 @@ mod tests {
     fn concat_preserves_per_sample_layout() {
         let a = Tensor::full(&[2, 1, 1, 1, 1], 1.0);
         let b = Tensor::full(&[2, 1, 1, 1, 1], 2.0);
-        let cat = concat_channels(&a, &b);
+        let cat = concat_channels(&a, &b, &mut KernelScratch::new());
         assert_eq!(cat.data(), &[1.0, 2.0, 1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "must divide")]
     fn bad_stride_panics() {
-        temporal_subsample(&Tensor::zeros(&[1, 1, 5, 1, 1]), 2);
+        temporal_subsample(&Tensor::zeros(&[1, 1, 5, 1, 1]), 2, &mut KernelScratch::new());
     }
 }

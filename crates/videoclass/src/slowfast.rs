@@ -1,8 +1,8 @@
 //! The SlowFast-lite classifier.
 
 use crate::model::{
-    concat_channels, concat_channels_scratch, dims5, split_channels, temporal_subsample,
-    temporal_subsample_scratch, temporal_upsample_grad, ForwardTelemetry, VideoClassifier,
+    concat_channels, dims5, split_channels, temporal_subsample, temporal_upsample_grad,
+    ForwardTelemetry, VideoClassifier,
 };
 use safecross_nn::{
     BatchNorm, Conv3d, Dropout, GlobalAvgPool, Layer, Linear, Mode, Param, Relu, Sequential,
@@ -125,20 +125,7 @@ impl SlowFastLite {
         self.num_classes
     }
 
-    fn concat_features(a: &Tensor, b: &Tensor) -> Tensor {
-        let (n, ca) = (a.shape().dim(0), a.shape().dim(1));
-        let cb = b.shape().dim(1);
-        let mut out = Tensor::zeros(&[n, ca + cb]);
-        for i in 0..n {
-            out.data_mut()[i * (ca + cb)..i * (ca + cb) + ca]
-                .copy_from_slice(&a.data()[i * ca..(i + 1) * ca]);
-            out.data_mut()[i * (ca + cb) + ca..(i + 1) * (ca + cb)]
-                .copy_from_slice(&b.data()[i * cb..(i + 1) * cb]);
-        }
-        out
-    }
-
-    fn concat_features_scratch(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
+    fn concat_features(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
         let (n, ca) = (a.shape().dim(0), a.shape().dim(1));
         let cb = b.shape().dim(1);
         let mut out = scratch.take_tensor(&[n, ca + cb]);
@@ -171,82 +158,53 @@ impl VideoClassifier for SlowFastLite {
         self.telemetry = Some(ForwardTelemetry::new(registry, "slowfast"));
     }
 
-    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(clips.shape().ndim(), 5, "expected [N, 1, T, H, W]");
-        let _timer = self.telemetry.as_ref().map(ForwardTelemetry::start);
-        let (_, c, t, _, _) = dims5(clips);
-        assert_eq!(c, 1, "SlowFastLite expects single-channel occupancy clips");
-        assert_eq!(t % self.alpha, 0, "T={t} must be divisible by alpha={}", self.alpha);
-
-        // Fast pathway over every frame.
-        let f1 = self.fast1.forward(clips, mode);
-        let f2 = self.fast2.forward(&f1, mode);
-        // Slow pathway over every alpha-th frame.
-        let slow_in = temporal_subsample(clips, self.alpha);
-        let s1 = self.slow1.forward(&slow_in, mode);
-        // Lateral 1: time-strided Fast stage-1 features into Slow.
-        let t_slow = t / self.alpha;
-        let lat1 = temporal_subsample(&f1, f1.shape().dim(2) / t_slow);
-        let s_cat = concat_channels(&s1, &lat1);
-        let s2 = self.slow2.forward(&s_cat, mode);
-        // Lateral 2: fuse Fast stage-2 features at the head.
-        let t_f2 = f2.shape().dim(2);
-        assert_eq!(t_f2 % t_slow, 0, "fast/slow frame counts incompatible");
-        let lat2 = temporal_subsample(&f2, t_f2 / t_slow);
-        let fused = concat_channels(&s2, &lat2);
-
-        let pool_fused = self.gap_fused.forward(&fused, mode);
-        let pool_fast = self.gap_fast.forward(&f2, mode);
-        let feat = Self::concat_features(&pool_fused, &pool_fast);
-        if mode == Mode::Train {
-            self.cache = Some(FwdCache {
-                t,
-                t_f2,
-                fused_channels: fused.shape().dim(1),
-                fast_feat: pool_fast.shape().dim(1),
-            });
-        }
-        self.head.forward(&feat, mode)
-    }
-
     fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(clips, mode);
-        }
         assert_eq!(clips.shape().ndim(), 5, "expected [N, 1, T, H, W]");
         let _timer = self.telemetry.as_ref().map(ForwardTelemetry::start);
         let (_, c, t, _, _) = dims5(clips);
         assert_eq!(c, 1, "SlowFastLite expects single-channel occupancy clips");
         assert_eq!(t % self.alpha, 0, "T={t} must be divisible by alpha={}", self.alpha);
 
-        // Same dataflow as `forward`; each intermediate is recycled as
-        // soon as its last consumer has read it, so a warm scratch cycles
-        // a fixed working set across clips.
+        // Each intermediate is recycled as soon as its last consumer has
+        // read it, so a warm scratch cycles a fixed working set across
+        // clips. Fast pathway over every frame:
         let f1 = self.fast1.forward_scratch(clips, mode, scratch);
         let f2 = self.fast2.forward_scratch(&f1, mode, scratch);
-        let slow_in = temporal_subsample_scratch(clips, self.alpha, scratch);
+        // Slow pathway over every alpha-th frame.
+        let slow_in = temporal_subsample(clips, self.alpha, scratch);
         let s1 = self.slow1.forward_scratch(&slow_in, mode, scratch);
         scratch.recycle_tensor(slow_in);
+        // Lateral 1: time-strided Fast stage-1 features into Slow.
         let t_slow = t / self.alpha;
-        let lat1 = temporal_subsample_scratch(&f1, f1.shape().dim(2) / t_slow, scratch);
+        let lat1 = temporal_subsample(&f1, f1.shape().dim(2) / t_slow, scratch);
         scratch.recycle_tensor(f1);
-        let s_cat = concat_channels_scratch(&s1, &lat1, scratch);
+        let s_cat = concat_channels(&s1, &lat1, scratch);
         scratch.recycle_tensor(s1);
         scratch.recycle_tensor(lat1);
         let s2 = self.slow2.forward_scratch(&s_cat, mode, scratch);
         scratch.recycle_tensor(s_cat);
+        // Lateral 2: fuse Fast stage-2 features at the head.
         let t_f2 = f2.shape().dim(2);
         assert_eq!(t_f2 % t_slow, 0, "fast/slow frame counts incompatible");
-        let lat2 = temporal_subsample_scratch(&f2, t_f2 / t_slow, scratch);
-        let fused = concat_channels_scratch(&s2, &lat2, scratch);
+        let lat2 = temporal_subsample(&f2, t_f2 / t_slow, scratch);
+        let fused = concat_channels(&s2, &lat2, scratch);
         scratch.recycle_tensor(s2);
         scratch.recycle_tensor(lat2);
 
         let pool_fused = self.gap_fused.forward_scratch(&fused, mode, scratch);
+        let fused_channels = fused.shape().dim(1);
         scratch.recycle_tensor(fused);
         let pool_fast = self.gap_fast.forward_scratch(&f2, mode, scratch);
         scratch.recycle_tensor(f2);
-        let feat = Self::concat_features_scratch(&pool_fused, &pool_fast, scratch);
+        let feat = Self::concat_features(&pool_fused, &pool_fast, scratch);
+        if mode == Mode::Train {
+            self.cache = Some(FwdCache {
+                t,
+                t_f2,
+                fused_channels,
+                fast_feat: pool_fast.shape().dim(1),
+            });
+        }
         scratch.recycle_tensor(pool_fused);
         scratch.recycle_tensor(pool_fast);
         let logits = self.head.forward_scratch(&feat, mode, scratch);
@@ -458,24 +416,6 @@ mod tests {
         assert!(last < 0.35, "loss stayed at {last}");
         let logits = m.forward(&batch, Mode::Eval);
         assert!(safecross_nn::accuracy(&logits, &labels) > 0.9);
-    }
-
-    #[test]
-    fn forward_scratch_is_bit_identical_and_pool_reaches_fixed_point() {
-        let (mut m, mut rng) = model();
-        let x = rng.uniform(&[2, 1, 32, 16, 16], 0.0, 1.0);
-        let plain = m.forward(&x, Mode::Eval);
-        let mut scratch = KernelScratch::new();
-        for _ in 0..3 {
-            let pooled = m.forward_scratch(&x, Mode::Eval, &mut scratch);
-            assert_eq!(pooled, plain, "scratch path diverged from forward");
-            scratch.recycle_tensor(pooled);
-        }
-        // Once warm, repeated clips must cycle the same buffer set.
-        let settled = scratch.pooled_buffers();
-        let pooled = m.forward_scratch(&x, Mode::Eval, &mut scratch);
-        scratch.recycle_tensor(pooled);
-        assert_eq!(scratch.pooled_buffers(), settled, "pool kept growing");
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Zero-allocation guarantee of the steady-state classification path.
 //!
 //! `classify_with_model` routes every intermediate — the batched clip
-//! view, all layer activations, im2col/vol2col patch matrices, and the
+//! view, all layer activations, vol2col patch matrices, and the
 //! probability row — through a caller-owned [`KernelScratch`] arena.
 //! After a few warm-up clips the pool reaches a fixed point and a
 //! classify performs **no** heap allocation at all. This test pins that
-//! down with a counting global allocator.
+//! down with a counting global allocator, for the SlowFast classify call
+//! and for the f32 eval forward of every classifier family (TSN is the
+//! one that exercises the 2-D layers); the int8 forwards are held to a
+//! weaker bound, see below.
 //!
 //! The file deliberately holds a single test: the allocator counters
 //! are process-global, so a sibling test running on another thread
 //! would corrupt the measurement.
 
 use safecross::classify_with_model;
-use safecross_tensor::{kernel, KernelScratch, TensorRng};
+use safecross_nn::Mode;
+use safecross_tensor::{kernel, KernelScratch, Precision, TensorRng};
 use safecross_trafficsim::Weather;
-use safecross_videoclass::SlowFastLite;
+use safecross_videoclass::{C3dLite, SlowFastLite, TsnLite, VideoClassifier};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -80,5 +84,44 @@ fn steady_state_classify_allocates_nothing() {
     assert_eq!(deallocs, 0, "steady-state classify freed memory");
     for v in verdicts {
         assert_eq!(v, expected, "warm classifies diverged");
+    }
+
+    let families: [Box<dyn VideoClassifier>; 3] = [
+        Box::new(model),
+        Box::new(C3dLite::new(2, &mut rng)),
+        Box::new(TsnLite::new(2, &mut rng)),
+    ];
+    let clips = rng.uniform(&[1, 1, 32, 20, 20], 0.0, 1.0);
+    for mut model in families {
+        for precision in [Precision::F32, Precision::Int8] {
+            model.set_precision(precision);
+            for _ in 0..4 {
+                let logits = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
+                scratch.recycle_tensor(logits);
+            }
+            let allocs_before = ALLOCS.load(Ordering::SeqCst);
+            let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
+            for _ in 0..8 {
+                let logits = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
+                scratch.recycle_tensor(logits);
+            }
+            let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
+            let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+            let cell = (model.name(), precision);
+            match precision {
+                Precision::F32 => {
+                    assert_eq!(allocs, 0, "steady-state forward hit the allocator: {cell:?}");
+                    assert_eq!(deallocs, 0, "steady-state forward freed memory: {cell:?}");
+                }
+                // Known gap: `qtensor::qgemm_paired_into` allocates its i32
+                // accumulator row on every call, so each int8 convolution
+                // costs one short-lived allocation per clip. Until that
+                // buffer is pooled, int8 is only held to "nothing retained".
+                Precision::Int8 => {
+                    println!("{cell:?}: {allocs} allocations over 8 warm forwards");
+                    assert_eq!(allocs, deallocs, "steady-state forward retained memory: {cell:?}");
+                }
+            }
+        }
     }
 }
