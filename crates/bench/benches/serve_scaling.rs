@@ -117,6 +117,24 @@ fn run_once(
         .expect("bench run succeeds")
 }
 
+/// Runs of each lossless sweep configuration; the row records the run
+/// with the median fps. One such run lasts ~0.1 s, which a shared host
+/// that slows by half for seconds at a time turns into a coin flip.
+const LOSSLESS_REPEATS: usize = 5;
+
+fn run_median(
+    config: ServeConfig,
+    models: &[(Weather, SlowFastLite)],
+    clips: &[Vec<GrayFrame>],
+    streams: usize,
+) -> FleetReport {
+    let mut reports: Vec<FleetReport> = (0..LOSSLESS_REPEATS)
+        .map(|_| run_once(config, models, clips, streams))
+        .collect();
+    reports.sort_by(|a, b| a.aggregate_fps.total_cmp(&b.aggregate_fps));
+    reports.swap_remove(LOSSLESS_REPEATS / 2)
+}
+
 // ---------------------------------------------------------------------
 // The 10k-stream zipf soak.
 // ---------------------------------------------------------------------
@@ -289,12 +307,14 @@ fn write_bench_json(records: &[SweepRecord]) {
          \"thread_scaling_tested\": {},\n\"quick\": {},\n\
          \"note\": \"shard scaling requires host_parallelism > 1; on a single-core \
          host every shards=N row measures the same serial machine and differences \
-         are scheduler noise; zipf_soak rows use synthetic frames with shedding on\",\n\
-         \"frames_per_stream\": {},\n\"runs\": [\n{}\n]\n}}\n",
+         are scheduler noise; lossless rows are the median-fps run of lossless_repeats; \
+         zipf_soak rows use synthetic frames with shedding on\",\n\
+         \"frames_per_stream\": {},\n\"lossless_repeats\": {},\n\"runs\": [\n{}\n]\n}}\n",
         cores,
         cores > 1,
         quick(),
         frames_per_stream(),
+        LOSSLESS_REPEATS,
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
@@ -321,15 +341,17 @@ fn serve_scaling(c: &mut Criterion) {
     // is directly comparable across rows.
     let mut records = Vec::new();
     println!(
-        "\n=== serve_scaling sweep (lossless, {} frames/stream, host_parallelism={}) ===",
+        "\n=== serve_scaling sweep (lossless, {} frames/stream, median of {LOSSLESS_REPEATS}, host_parallelism={}) ===",
         frames_per_stream(),
         host_parallelism()
     );
     println!("{:>8} {:>8} {:>14} {:>10} {:>14}", "streams", "shards", "aggregate fps", "shed rate", "p99 age ms");
-    let stream_counts: &[usize] = if quick() { &[2] } else { &[2, 8] };
+    // streams = 1 is the one-camera record: its shards-1 vs shards-2
+    // rows show what the idle shard buys a lone stream (DESIGN §6).
+    let stream_counts: &[usize] = if quick() { &[1, 2] } else { &[1, 2, 8] };
     for &streams in stream_counts {
         for &shards in &shard_counts() {
-            let report = run_once(lossless(shards), &models, &clips, streams);
+            let report = run_median(lossless(shards), &models, &clips, streams);
             let rec = SweepRecord {
                 mode: "lossless",
                 streams,

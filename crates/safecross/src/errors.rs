@@ -72,8 +72,6 @@ pub enum SafeCrossError {
     },
     /// The MS runtime refused a model switch.
     Switch(SwitchError),
-    /// A parallel operation was asked to run with zero workers.
-    NoWorkers,
 }
 
 impl fmt::Display for SafeCrossError {
@@ -91,7 +89,6 @@ impl fmt::Display for SafeCrossError {
                 write!(f, ")")
             }
             SafeCrossError::Switch(e) => write!(f, "model switch failed: {e}"),
-            SafeCrossError::NoWorkers => write!(f, "need at least one worker"),
         }
     }
 }
@@ -139,6 +136,10 @@ mod tests {
         use std::error::Error;
         let e = SafeCrossError::from(ConfigError::EmptySceneWindow);
         assert!(e.source().is_some());
-        assert!(SafeCrossError::NoWorkers.source().is_none());
+        let e = SafeCrossError::NoModel {
+            weather: Weather::Snow,
+            registered: Vec::new(),
+        };
+        assert!(e.source().is_none());
     }
 }

@@ -485,23 +485,6 @@ pub fn table7_throughput_instrumented(
     (report, system.telemetry().snapshot())
 }
 
-/// Experiment E7, data-parallel: the identical study with the segment
-/// batch sharded across `workers` threads via
-/// [`throughput_study_parallel`](crate::throughput::throughput_study_parallel)
-/// — the bench arm that measures how far
-/// the embarrassingly-parallel evaluation path scales.
-pub fn table7_throughput_parallel(
-    models: &HashMap<Weather, SlowFastLite>,
-    cfg: &ExperimentConfig,
-    workers: usize,
-) -> ThroughputReport {
-    let test_set = blind_zone_test_set(cfg);
-    let system = system_with(models, false);
-    let all: Vec<usize> = (0..test_set.len()).collect();
-    crate::throughput::throughput_study_parallel(&system, &test_set, &all, workers)
-        .expect("harness registers a model for every test-set scene")
-}
-
 fn system_with(models: &HashMap<Weather, SlowFastLite>, telemetry: bool) -> SafeCross {
     let config = SafeCrossConfig::builder()
         .telemetry(telemetry)
@@ -633,10 +616,6 @@ mod tests {
         // Clear-margin scripting keeps the intended 32/31 split within a
         // segment or two.
         assert!((report.truth_safe as i64 - 32).abs() <= 2, "{report:?}");
-        // The data-parallel study tallies the exact same report.
-        for workers in [1, 3, 8] {
-            assert_eq!(table7_throughput_parallel(&models, &cfg, workers), report);
-        }
         // The instrumented study sees the same segments and exports a
         // snapshot covering every clip it classified: one forward pass
         // per blind-zone segment.

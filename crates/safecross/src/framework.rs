@@ -4,11 +4,12 @@
 //! plus model switching ([`SceneStage`]), VP preprocessing plus segment
 //! assembly ([`VpStage`]), and clip classification ([`ClassifyStage`]).
 //! [`SafeCross::process_frame`] drives them back-to-back on the calling
-//! thread; [`SafeCross::run_pipelined`](crate::pipeline) drives the very
-//! same stage code on overlapping worker threads. Because both paths
-//! execute identical stage transitions in identical frame order, their
-//! outputs are bit-identical — the property `tests/pipeline_equivalence.rs`
-//! locks in.
+//! thread. [`SafeCross::prepare_frame`] / [`SafeCross::complete_frame`]
+//! split the same stage code around classification, so a serving layer
+//! (`safecross-serve`) can overlap one camera's preprocessing with its
+//! classification on another core — or batch many cameras' clips — and
+//! still execute identical stage transitions in identical frame order;
+//! `tests/serve_equivalence.rs` locks that bit-identity in.
 
 use crate::errors::{ConfigError, SafeCrossError};
 use crate::scene::SceneDetector;
@@ -229,8 +230,8 @@ pub const SCENE_TOTAL_FLOPS: f64 = 36.0e9;
 ///
 /// Owns the voting-window detector and the MS runtime. Sequential per
 /// frame (the voting window is stateful), but independent of the VP and
-/// classification state, so it can run on its own pipeline thread.
-pub(crate) struct SceneStage {
+/// classification state.
+struct SceneStage {
     scene: SceneDetector,
     switcher: ModelSwitcher,
     /// Scenes with a registered model, in registration order. The first
@@ -242,10 +243,6 @@ pub(crate) struct SceneStage {
     /// an adapted challenger ([`SafeCross::bind_scene_model`]), and
     /// every later switch onto that scene activates the bound name.
     names: HashMap<Weather, Arc<str>>,
-    /// Frames this stage has consumed. Owned by the stage (not the
-    /// orchestrator) so the frame index attributed to a switch is the
-    /// same in sequential and pipelined execution.
-    frames: u64,
     frames_total: Counter,
     step_ms: Histogram,
 }
@@ -263,23 +260,22 @@ impl SceneStage {
             switcher,
             registered: Vec::new(),
             names: HashMap::new(),
-            frames: 0,
             frames_total: registry.counter("stage.scene.frames"),
             step_ms: registry.histogram("stage.scene.step_ms"),
         }
     }
 
-    /// Consumes one frame: updates the scene vote, performs a model
-    /// switch when the vote flips onto a registered scene, and reports
-    /// the scene whose model should classify this frame.
-    pub(crate) fn step(
+    /// Consumes frame number `frame_index` of the stream: updates the
+    /// scene vote, performs a model switch (attributed to that index)
+    /// when the vote flips onto a registered scene, and reports the
+    /// scene whose model should classify this frame.
+    fn step(
         &mut self,
         frame: &GrayFrame,
+        frame_index: u64,
     ) -> (Option<(Weather, SwitchReport)>, Option<Weather>) {
         let _t = self.step_ms.start_timer();
         self.frames_total.inc();
-        let frame_index = self.frames;
-        self.frames += 1;
         let mut scene_switch = None;
         if let Some(new_scene) = self.scene.observe(frame) {
             if self.registered.contains(&new_scene) {
@@ -324,7 +320,7 @@ impl SceneStage {
 ///
 /// Owns the background-subtraction state and the sliding segment buffer;
 /// emits a full `[1, T, H, W]` clip once the buffer fills.
-pub(crate) struct VpStage {
+struct VpStage {
     vp: Preprocessor,
     buffer: SegmentBuffer,
     step_ms: Histogram,
@@ -343,7 +339,7 @@ impl VpStage {
 
     /// Consumes one frame; returns the assembled clip when the segment
     /// buffer is full.
-    pub(crate) fn step(&mut self, frame: &GrayFrame) -> Option<Tensor> {
+    fn step(&mut self, frame: &GrayFrame) -> Option<Tensor> {
         let _t = self.step_ms.start_timer();
         let grid = self.vp.process(frame);
         self.buffer.push(grid);
@@ -352,12 +348,12 @@ impl VpStage {
 }
 
 /// Stage 3: clip classification with the per-scene models.
-pub(crate) struct ClassifyStage {
-    pub(crate) models: HashMap<Weather, SlowFastLite>,
+struct ClassifyStage {
+    models: HashMap<Weather, SlowFastLite>,
     /// Kernel scratch arena reused across every clip this stage
     /// classifies; after the first few clips the steady-state forward
     /// pass performs no heap allocation at all.
-    pub(crate) scratch: KernelScratch,
+    scratch: KernelScratch,
     min_confidence: f32,
     step_ms: Histogram,
     verdicts_total: Counter,
@@ -374,13 +370,6 @@ impl ClassifyStage {
         }
     }
 
-    /// Classifies a clip with the model for `scene`, gating on the
-    /// configured minimum confidence.
-    pub(crate) fn step(&mut self, clip: Option<Tensor>, scene: Option<Weather>) -> Option<Verdict> {
-        let raw = self.classify(clip.as_ref(), scene);
-        self.accept(raw)
-    }
-
     /// The lookup-and-forward half: classifies a clip with this
     /// session's own model for `scene`, without confidence gating.
     fn classify(&mut self, clip: Option<&Tensor>, scene: Option<Weather>) -> Option<Verdict> {
@@ -393,7 +382,7 @@ impl ClassifyStage {
 
     /// The gating half: applies the minimum-confidence threshold to a
     /// raw verdict (however it was computed) and counts accepted ones.
-    pub(crate) fn accept(&mut self, raw: Option<Verdict>) -> Option<Verdict> {
+    fn accept(&mut self, raw: Option<Verdict>) -> Option<Verdict> {
         let verdict = raw?;
         if verdict.confidence < self.min_confidence {
             return None;
@@ -403,39 +392,72 @@ impl ClassifyStage {
     }
 }
 
-/// The shared classification kernel: every verdict in the system —
-/// sequential, pipelined, batch-parallel, or served — goes through this
-/// one function, so the numeric path is identical everywhere. The
-/// verdict is **not** confidence-gated; feed it through
+/// The shared classification kernel: every verdict in the system — a
+/// solo [`SafeCross::process_frame`] loop, the fleet's reference mode,
+/// or a shard's micro-batch — goes through this one function, so the
+/// numeric path is identical everywhere. `clips` (each `[C, T, H, W]`,
+/// all the same shape) are stacked into one `[K, C, T, H, W]` eval
+/// forward, and one verdict per clip is handed to `sink` in clip order.
+/// Every layer processes batch rows independently, so a clip's verdict
+/// is bit-identical at any `K` and in any company.
+///
+/// Verdicts are **not** confidence-gated; feed them through
 /// [`SafeCross::complete_frame`] (or compare against
 /// [`SafeCrossConfig::min_confidence`]) for that.
 ///
 /// `scratch` is the caller-owned kernel arena: once it has warmed up
-/// (a few clips), classification performs no heap allocation — every
-/// intermediate, including the batched clip view and the probability
-/// row, cycles through the pool.
+/// (a few forwards), classification performs no heap allocation — every
+/// intermediate, including the stacked clips and the probability row,
+/// cycles through the pool, and verdicts leave through `sink` rather
+/// than a returned collection.
+pub fn classify_stacked<'c>(
+    model: &mut SlowFastLite,
+    clips: impl ExactSizeIterator<Item = &'c Tensor>,
+    weather: Weather,
+    scratch: &mut KernelScratch,
+    mut sink: impl FnMut(Verdict),
+) {
+    let mut clips = clips.peekable();
+    let Some(first) = clips.peek() else { return };
+    let d: [usize; 4] = first
+        .dims()
+        .try_into()
+        .expect("expected [C, T, H, W] clips");
+    let stride = first.len();
+    let mut stacked = scratch.take_tensor(&[clips.len(), d[0], d[1], d[2], d[3]]);
+    for (clip, row) in clips.zip(stacked.data_mut().chunks_exact_mut(stride)) {
+        debug_assert_eq!(clip.dims(), d, "incompatible clip in batch");
+        row.copy_from_slice(clip.data());
+    }
+    let logits = model.forward_scratch(&stacked, Mode::Eval, scratch);
+    scratch.recycle_tensor(stacked);
+    let classes = logits.shape().dim(1);
+    let mut probs = scratch.take(classes);
+    for row in logits.data().chunks_exact(classes) {
+        let (class_idx, confidence) = top_class_from_logits(row, &mut probs);
+        sink(Verdict {
+            class: Class::from_index(class_idx),
+            confidence,
+            weather,
+        });
+    }
+    scratch.recycle(probs);
+    scratch.recycle_tensor(logits);
+}
+
+/// [`classify_stacked`] for one clip: the `K = 1` call every
+/// frame-at-a-time driver makes.
 pub fn classify_with_model(
     model: &mut SlowFastLite,
     clip: &Tensor,
     weather: Weather,
     scratch: &mut KernelScratch,
 ) -> Verdict {
-    let d = clip.dims();
-    assert_eq!(d.len(), 4, "expected a [C, T, H, W] clip");
-    let mut batch = scratch.take_tensor(&[1, d[0], d[1], d[2], d[3]]);
-    batch.data_mut().copy_from_slice(clip.data());
-    let logits = model.forward_scratch(&batch, Mode::Eval, scratch);
-    scratch.recycle_tensor(batch);
-    let k = logits.shape().dim(1);
-    let mut probs = scratch.take(k);
-    let (class_idx, confidence) = top_class_from_logits(&logits.data()[..k], &mut probs);
-    scratch.recycle(probs);
-    scratch.recycle_tensor(logits);
-    Verdict {
-        class: Class::from_index(class_idx),
-        confidence,
-        weather,
-    }
+    let mut verdict = None;
+    classify_stacked(model, std::iter::once(clip), weather, scratch, |v| {
+        verdict = Some(v)
+    });
+    verdict.expect("one clip in, one verdict out")
 }
 
 /// Softmax + argmax over one logit row, written into a caller-provided
@@ -470,19 +492,19 @@ pub fn top_class_from_logits(row: &[f32], probs: &mut [f32]) -> (usize, f32) {
 /// The deployed SafeCross system: VP -> VC with FL-produced per-scene
 /// models and MS-managed switching.
 pub struct SafeCross {
-    pub(crate) config: SafeCrossConfig,
-    pub(crate) registry: Registry,
+    config: SafeCrossConfig,
+    registry: Registry,
     /// Content-addressed store holding every registered checkpoint's
     /// layer-group blobs. Private to this session unless a serving layer
     /// shares one handle across sessions
     /// ([`SafeCross::share_model_store`]), in which case per-weather
     /// weights are held once for the whole fleet.
-    pub(crate) model_store: ModelRegistry,
-    pub(crate) scene_stage: SceneStage,
-    pub(crate) vp_stage: VpStage,
-    pub(crate) classify_stage: ClassifyStage,
-    pub(crate) verdicts: Vec<Verdict>,
-    pub(crate) frames_seen: usize,
+    model_store: ModelRegistry,
+    scene_stage: SceneStage,
+    vp_stage: VpStage,
+    classify_stage: ClassifyStage,
+    verdicts: Vec<Verdict>,
+    frames_seen: usize,
     /// Strong handle keeping the `nn.gemm.*` telemetry bridge alive in
     /// the kernel layer's observer registry; the registry itself only
     /// holds a `Weak`, so dropping the system unhooks the observer.
@@ -490,25 +512,6 @@ pub struct SafeCross {
 }
 
 impl SafeCross {
-    /// Creates a system with no registered models (register at least the
-    /// daytime model before expecting verdicts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; use
-    /// [`SafeCross::try_new`] to handle that as a value.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on invalid configurations; migrate to `SafeCross::try_new`, \
-                which returns the violated invariant as a `ConfigError` value"
-    )]
-    pub fn new(config: SafeCrossConfig) -> Self {
-        match SafeCross::try_new(config) {
-            Ok(system) => system,
-            Err(e) => panic!("invalid SafeCross configuration: {e}"),
-        }
-    }
-
     /// Creates a system after validating `config`. When
     /// `config.telemetry` is set, the system carries a live
     /// [`Registry`] (see [`SafeCross::telemetry`]); otherwise every
@@ -659,7 +662,7 @@ impl SafeCross {
             .register_from_store(name, SCENE_TOTAL_FLOPS)?;
         self.scene_stage
             .switcher
-            .switch_to_at(name, self.scene_stage.frames)?;
+            .switch_to_at(name, self.frames_seen as u64)?;
         self.scene_stage.names.insert(weather, Arc::from(name));
         // Standalone sessions classify locally: refresh that replica so
         // the local path serves the promoted weights too.
@@ -815,8 +818,8 @@ impl SafeCross {
     /// `complete_frame` pairs executed in feed order are bit-identical
     /// to [`SafeCross::process_frame`] on the same frames.
     pub fn prepare_frame(&mut self, frame: &GrayFrame) -> FramePrep {
+        let (scene_switch, effective) = self.scene_stage.step(frame, self.frames_seen as u64);
         self.frames_seen += 1;
-        let (scene_switch, effective) = self.scene_stage.step(frame);
         let clip = self.vp_stage.step(frame);
         FramePrep {
             scene_switch,
@@ -1024,18 +1027,6 @@ mod tests {
         };
         assert!(SafeCross::try_new(bad).is_err());
         assert!(SafeCross::try_new(SafeCrossConfig::default()).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SafeCross configuration")]
-    fn new_panics_on_bad_config() {
-        // The deprecated constructor keeps its panicking contract until
-        // it is removed.
-        #[allow(deprecated)]
-        SafeCross::new(SafeCrossConfig {
-            scene_window: 0,
-            ..SafeCrossConfig::default()
-        });
     }
 
     #[test]

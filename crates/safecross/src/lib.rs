@@ -43,7 +43,6 @@
 mod errors;
 pub mod experiments;
 mod framework;
-pub mod pipeline;
 mod scene;
 pub mod throughput;
 
@@ -52,12 +51,11 @@ mod proptests;
 
 pub use errors::{ConfigError, SafeCrossError};
 pub use framework::{
-    classify_with_model, top_class_from_logits, FrameOutcome, FramePrep, SafeCross,
+    classify_stacked, classify_with_model, top_class_from_logits, FrameOutcome, FramePrep, SafeCross,
     SafeCrossConfig, SafeCrossConfigBuilder, Verdict, SCENE_TOTAL_FLOPS,
 };
-pub use pipeline::{PipelineConfig, PipelineRun, PipelineStats, StageStats};
 pub use scene::{SceneDetector, SceneFeatures};
-pub use throughput::{throughput_study, throughput_study_parallel, ThroughputReport};
+pub use throughput::{throughput_study, ThroughputReport};
 
 // Re-exports so downstream code can consume the typed switch log and
 // telemetry snapshots without depending on the sub-crates directly.

@@ -96,56 +96,7 @@ pub fn throughput_study(
     data: &Dataset,
     indices: &[usize],
 ) -> Result<ThroughputReport, SafeCrossError> {
-    let mut report = empty_report();
-    for &i in indices {
-        let seg = data.get(i);
-        if !seg.label.blind_area {
-            continue; // the study only concerns blind-zone scenes
-        }
-        let truth_danger = seg.label.class == Class::Danger;
-        let verdict = system.classify_clip(&seg.clip, seg.weather)?;
-        tally(&mut report, verdict.class, truth_danger);
-    }
-    Ok(report)
-}
-
-/// The parallel twin of [`throughput_study`]: blind-zone segments are
-/// independent, so they are classified as one batch sharded across
-/// `workers` threads via
-/// [`SafeCross::classify_clips_parallel`](crate::SafeCross::classify_clips_parallel).
-/// The report is identical to the sequential study's.
-///
-/// # Errors
-///
-/// [`SafeCrossError::NoWorkers`] if `workers` is zero, and
-/// [`SafeCrossError::NoModel`] if a segment's weather has no registered
-/// model.
-pub fn throughput_study_parallel(
-    system: &SafeCross,
-    data: &Dataset,
-    indices: &[usize],
-    workers: usize,
-) -> Result<ThroughputReport, SafeCrossError> {
-    let mut jobs = Vec::new();
-    let mut truths = Vec::new();
-    for &i in indices {
-        let seg = data.get(i);
-        if !seg.label.blind_area {
-            continue;
-        }
-        jobs.push((seg.clip.clone(), seg.weather));
-        truths.push(seg.label.class == Class::Danger);
-    }
-    let verdicts = system.classify_clips_parallel(&jobs, workers)?;
-    let mut report = empty_report();
-    for (verdict, truth_danger) in verdicts.iter().zip(truths) {
-        tally(&mut report, verdict.class, truth_danger);
-    }
-    Ok(report)
-}
-
-fn empty_report() -> ThroughputReport {
-    ThroughputReport {
+    let mut report = ThroughputReport {
         segments: 0,
         truth_safe: 0,
         truth_danger: 0,
@@ -153,23 +104,28 @@ fn empty_report() -> ThroughputReport {
         correct_waits: 0,
         unsafe_turns: 0,
         missed_turns: 0,
+    };
+    for &i in indices {
+        let seg = data.get(i);
+        if !seg.label.blind_area {
+            continue; // the study only concerns blind-zone scenes
+        }
+        let truth_danger = seg.label.class == Class::Danger;
+        let verdict = system.classify_clip(&seg.clip, seg.weather)?;
+        report.segments += 1;
+        if truth_danger {
+            report.truth_danger += 1;
+        } else {
+            report.truth_safe += 1;
+        }
+        match (verdict.class, truth_danger) {
+            (Class::Safe, false) => report.correct_turns += 1,
+            (Class::Danger, true) => report.correct_waits += 1,
+            (Class::Safe, true) => report.unsafe_turns += 1,
+            (Class::Danger, false) => report.missed_turns += 1,
+        }
     }
-}
-
-/// Folds one classified blind-zone segment into the tally.
-fn tally(report: &mut ThroughputReport, predicted: Class, truth_danger: bool) {
-    report.segments += 1;
-    if truth_danger {
-        report.truth_danger += 1;
-    } else {
-        report.truth_safe += 1;
-    }
-    match (predicted, truth_danger) {
-        (Class::Safe, false) => report.correct_turns += 1,
-        (Class::Danger, true) => report.correct_waits += 1,
-        (Class::Safe, true) => report.unsafe_turns += 1,
-        (Class::Danger, false) => report.missed_turns += 1,
-    }
+    Ok(report)
 }
 
 #[cfg(test)]

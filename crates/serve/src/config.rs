@@ -24,7 +24,10 @@ pub struct ServeConfig {
     /// Shard threads the fleet is partitioned across. Stream `i` lives
     /// on shard `i % shards`; each shard owns its sessions' admission,
     /// shedding, micro-batching, and classification, and steals batches
-    /// from other shards when its own queue runs dry.
+    /// from other shards when its own queue runs dry. Shards beyond the
+    /// stream count own no stream and are pure executors: they spend
+    /// the run stealing, which is how a lone camera's classification
+    /// overlaps its own preprocessing on a second core.
     pub shards: usize,
     /// Maximum clips per micro-batch; a batch is dispatched as soon as
     /// it reaches this size.

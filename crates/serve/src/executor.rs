@@ -25,8 +25,7 @@
 //! `batched_forward_is_bit_identical` below pins that down, and the
 //! serve equivalence tests lean on it.
 
-use safecross::{classify_with_model, top_class_from_logits, Verdict};
-use safecross_dataset::Class;
+use safecross::{classify_stacked, classify_with_model, Verdict};
 use safecross_modelswitch::ModelRegistry;
 use safecross_tensor::{KernelScratch, Precision, Tensor};
 use safecross_trafficsim::Weather;
@@ -146,14 +145,26 @@ impl<'a> ShardCompute<'a> {
         Some(())
     }
 
-    /// Classifies a micro-batch with one stacked forward, returning one
-    /// raw verdict per job in job order.
+    /// Classifies a micro-batch with one stacked forward
+    /// ([`classify_stacked`]), returning one raw verdict per job in job
+    /// order. The stacked batch and every intermediate cycle through
+    /// the shard-owned scratch arena, so a warm shard only allocates
+    /// the verdict vector it returns.
     pub(crate) fn classify(&mut self, batch: &Batch) -> Vec<Verdict> {
+        debug_assert!(!batch.jobs.is_empty(), "empty batch dispatched");
         self.ensure_replica(&batch.model, batch.weather, batch.precision)
             .expect("dispatched batch has a shared scene model");
         let key = (Arc::clone(&batch.model), batch.precision);
         let model = self.local.get_mut(&key).expect("just materialized");
-        classify_batch(model, batch, &mut self.scratch)
+        let mut verdicts = Vec::with_capacity(batch.jobs.len());
+        classify_stacked(
+            model,
+            batch.jobs.iter().map(|job| &job.clip),
+            batch.weather,
+            &mut self.scratch,
+            |verdict| verdicts.push(verdict),
+        );
+        verdicts
     }
 
     /// Classifies one clip against the replica for `name` — the
@@ -180,54 +191,6 @@ impl<'a> ShardCompute<'a> {
     }
 }
 
-/// Classifies a micro-batch with one stacked `[K, 1, T, H, W]` forward
-/// pass, returning one raw verdict per job in job order. The stacked
-/// batch, every layer intermediate, and the per-row probability buffer
-/// all cycle through the shard-owned `scratch` arena, so a warm shard
-/// only allocates the verdict vector it returns.
-pub(crate) fn classify_batch(
-    model: &mut SlowFastLite,
-    batch: &Batch,
-    scratch: &mut KernelScratch,
-) -> Vec<Verdict> {
-    use safecross_nn::Mode;
-
-    let k = batch.jobs.len();
-    debug_assert!(k > 0, "empty batch dispatched");
-    let clip_dims = batch.jobs[0].clip.dims();
-    debug_assert_eq!(clip_dims.len(), 4, "expected [C, T, H, W] clips");
-    let stride = batch.jobs[0].clip.len();
-    let mut stacked = scratch.take_tensor(&[
-        k,
-        clip_dims[0],
-        clip_dims[1],
-        clip_dims[2],
-        clip_dims[3],
-    ]);
-    for (i, job) in batch.jobs.iter().enumerate() {
-        debug_assert_eq!(job.clip.dims(), clip_dims, "incompatible clip in batch");
-        stacked.data_mut()[i * stride..(i + 1) * stride].copy_from_slice(job.clip.data());
-    }
-    let logits = model.forward_scratch(&stacked, Mode::Eval, scratch);
-    scratch.recycle_tensor(stacked);
-    let classes = logits.shape().dim(1);
-    let mut probs = scratch.take(classes);
-    let verdicts = (0..k)
-        .map(|i| {
-            let row = &logits.data()[i * classes..(i + 1) * classes];
-            let (class_idx, confidence) = top_class_from_logits(row, &mut probs);
-            Verdict {
-                class: Class::from_index(class_idx),
-                confidence,
-                weather: batch.weather,
-            }
-        })
-        .collect();
-    scratch.recycle(probs);
-    scratch.recycle_tensor(logits);
-    verdicts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +204,8 @@ mod tests {
     fn batched_forward_is_bit_identical() {
         let mut rng = TensorRng::seed_from(11);
         let mut model = SlowFastLite::new(2, &mut rng);
+        let mut shared = HashMap::new();
+        shared.insert(Weather::Rain, model.clone());
         let clips: Vec<Tensor> = (0..5)
             .map(|_| rng.uniform(&[1, 32, 20, 20], 0.0, 1.0))
             .collect();
@@ -266,7 +231,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let batched = classify_batch(&mut model, &batch, &mut scratch);
+        let batched = ShardCompute::new(&shared, ModelRegistry::new()).classify(&batch);
         assert_eq!(batched, singles);
     }
 

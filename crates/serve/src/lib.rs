@@ -26,7 +26,9 @@
 //!   (eval-mode layers are row-independent, so batching never changes
 //!   a verdict bit), and steals batches from other shards' queues when
 //!   its own runs dry. Completions route back to the owning shard, so
-//!   per-stream sequencing stays structural.
+//!   per-stream sequencing stays structural. A shard with no stream of
+//!   its own only steals — which is how a single camera, served as a
+//!   fleet of one, still keeps two cores busy.
 //! - [`FleetServer`] — [`FleetServer::open_stream`] hands out typed
 //!   [`StreamHandle`]s; admission control (bounded per-stream queues,
 //!   drop-oldest), load shedding (frame-age deadline), and two-level

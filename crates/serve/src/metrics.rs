@@ -5,7 +5,7 @@
 //! system. Handles are fetched once at setup time and updated lock-free
 //! on the serving hot path.
 
-use safecross_telemetry::{Counter, Gauge, Histogram, Registry};
+use safecross_telemetry::{Counter, Histogram, Registry};
 
 /// Fleet-wide instrument handles.
 #[derive(Debug, Clone)]
@@ -81,48 +81,6 @@ impl ShardMetrics {
         ShardMetrics {
             batches: registry.counter(&format!("serve.shard{shard}.batches")),
             steals: registry.counter(&format!("serve.shard{shard}.steals")),
-        }
-    }
-}
-
-/// Per-stream instrument handles (`serve.stream<N>.*`).
-///
-/// When the registry is disabled every stream shares one inert handle
-/// set under a single name: a disabled registry still interns every
-/// distinct instrument name it is asked for, and at 10k streams five
-/// named instruments per stream would be measurable dead weight.
-#[derive(Debug, Clone)]
-pub(crate) struct StreamMetrics {
-    /// Current admission-queue depth.
-    pub queue_depth: Gauge,
-    /// High-water mark of the admission queue.
-    pub queue_high_water: Gauge,
-    /// Frames this stream lost to queue overflow.
-    pub shed_overflow: Counter,
-    /// Frames this stream lost to the age deadline.
-    pub shed_stale: Counter,
-    /// Outcomes delivered for this stream.
-    pub completed: Counter,
-}
-
-impl StreamMetrics {
-    pub(crate) fn new(registry: &Registry, stream: usize) -> Self {
-        if !registry.is_enabled() {
-            return StreamMetrics {
-                queue_depth: registry.gauge("serve.stream.disabled"),
-                queue_high_water: registry.gauge("serve.stream.disabled"),
-                shed_overflow: registry.counter("serve.stream.disabled"),
-                shed_stale: registry.counter("serve.stream.disabled"),
-                completed: registry.counter("serve.stream.disabled"),
-            };
-        }
-        let name = |suffix: &str| format!("serve.stream{stream}.{suffix}");
-        StreamMetrics {
-            queue_depth: registry.gauge(&name("queue_depth")),
-            queue_high_water: registry.gauge(&name("queue_high_water")),
-            shed_overflow: registry.counter(&name("shed_overflow")),
-            shed_stale: registry.counter(&name("shed_stale")),
-            completed: registry.counter(&name("completed")),
         }
     }
 }

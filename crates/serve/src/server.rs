@@ -4,7 +4,7 @@ use crate::adapt::{HarvestSample, LearnHook, PromotionOutcome};
 use crate::config::{ServeConfig, ServeError};
 use crate::executor::{Batch, ClipJob, Completion, ExecStats, ShardCompute};
 use crate::fault::{FaultHook, WorkerAction};
-use crate::metrics::{FleetMetrics, ShardMetrics, StreamMetrics};
+use crate::metrics::{FleetMetrics, ShardMetrics};
 use crate::session::{StreamId, StreamSession, StreamStats};
 use crate::source::{FrameSource, IntoFrameSource, SourcePoll};
 use safecross::{SafeCross, SafeCrossConfig, Verdict};
@@ -451,9 +451,7 @@ impl FleetServer {
             inner.register_scene(*weather, &self.models[weather]);
         }
         let id = StreamId(self.sessions.len());
-        let metrics = StreamMetrics::new(&self.registry, id.0);
-        self.sessions
-            .push(StreamSession::new(inner, metrics, precision));
+        self.sessions.push(StreamSession::new(inner, precision));
         Ok(id)
     }
 
@@ -570,7 +568,11 @@ impl FleetServer {
     /// threads — stream `i` on shard `i % shards` — and each shard
     /// admits, sheds, schedules, micro-batches, and classifies its own
     /// partition, stealing batches from other shards' queues when its
-    /// own runs dry. Blocking sources get a feeder thread each; inline
+    /// own runs dry. A shard that owns no stream (more shards than
+    /// streams) settles at once and steals for the whole run, so one
+    /// camera is simply a fleet of one: its owning shard prepares
+    /// frame `t+1` while another core classifies frame `t`.
+    /// Blocking sources get a feeder thread each; inline
     /// sources are polled by the owning shard. Returns when every
     /// source is exhausted and every admitted-and-not-shed frame has
     /// completed.
@@ -592,7 +594,7 @@ impl FleetServer {
         let start = Instant::now();
         let before: Vec<StreamStats> = self.sessions.iter().map(|s| s.stats).collect();
 
-        let shard_count = self.config.shards.min(self.sessions.len()).max(1);
+        let shard_count = self.config.shards;
         let config = self.config;
         let fleet = self.fleet_metrics.clone();
         let registry = &self.registry;
@@ -1252,5 +1254,96 @@ impl Shard<'_> {
             self.settled_flagged = true;
             self.shared.settled[self.index].store(true, Ordering::Release);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adapt::Promotion;
+    use crate::source::paced_feed;
+    use safecross_tensor::TensorRng;
+
+    /// Queues promotions up front and journals how each one fared.
+    #[derive(Default)]
+    struct QueuedPromotions {
+        queued: Mutex<Vec<Promotion>>,
+        results: Mutex<Vec<(Promotion, PromotionOutcome)>>,
+        shard_counts: Mutex<Vec<usize>>,
+    }
+
+    impl LearnHook for QueuedPromotions {
+        fn observe(&self, _sample: HarvestSample<'_>) {}
+
+        fn take_promotions(&self, shard: usize, shard_count: usize) -> Vec<Promotion> {
+            self.shard_counts.lock().unwrap().push(shard_count);
+            let mut queued = self.queued.lock().unwrap();
+            let (mine, rest) = queued
+                .drain(..)
+                .partition(|p| p.stream % shard_count == shard);
+            *queued = rest;
+            mine
+        }
+
+        fn promotion_result(&self, promotion: &Promotion, outcome: PromotionOutcome) {
+            self.results
+                .lock()
+                .unwrap()
+                .push((promotion.clone(), outcome));
+        }
+    }
+
+    #[test]
+    fn more_shards_than_streams_settles_and_routes_promotions() {
+        let config = ServeConfig::builder()
+            .shards(4)
+            .shedding(false)
+            .build()
+            .expect("valid serve configuration");
+        let mut fleet = FleetServer::new(config).expect("valid serve configuration");
+        let mut rng = TensorRng::seed_from(21);
+        let model = SlowFastLite::new(2, &mut rng);
+        fleet
+            .register_model(Weather::Daytime, model.clone())
+            .expect("models first");
+        let cam = fleet.open_stream(StreamSpec::new()).expect("models are registered");
+
+        let promotion = Promotion {
+            stream: cam.id().index(),
+            weather: Weather::Daytime,
+            challenger: "daytime#s0g1".to_owned(),
+        };
+        fleet
+            .model_store()
+            .register_model(&promotion.challenger, &model.state_groups());
+        let hook = Arc::new(QueuedPromotions::default());
+        hook.queued.lock().unwrap().push(promotion.clone());
+        fleet.set_learn_hook(hook.clone());
+
+        let frames: Vec<GrayFrame> = (0..40)
+            .map(|t| GrayFrame::filled(320, 240, 80 + (t % 30) as u8))
+            .collect();
+        let report = fleet
+            .run(vec![paced_feed(frames, Duration::ZERO)])
+            .expect("one-stream run succeeds");
+
+        // Three of the four shards own no stream; the run still settles
+        // with every frame delivered.
+        assert_eq!(report.completed, 40);
+        assert_eq!(report.shed, 0);
+        assert_eq!(cam.stats(&fleet).completed, 40);
+        // Every shard polled the hook with the configured shard count,
+        // and the promotion reached the stream's owning shard.
+        assert!(hook.shard_counts.lock().unwrap().iter().all(|&n| n == 4));
+        assert_eq!(
+            *hook.results.lock().unwrap(),
+            vec![(promotion.clone(), PromotionOutcome::Activated)]
+        );
+        assert_eq!(
+            cam.session(&fleet)
+                .scene_model_name(Weather::Daytime)
+                .as_deref(),
+            Some(promotion.challenger.as_str())
+        );
     }
 }

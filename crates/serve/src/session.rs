@@ -10,7 +10,7 @@
 //! therefore verdict and switch-log bit-identity with a standalone run)
 //! is structural, not locked.
 
-use crate::metrics::{FleetMetrics, StreamMetrics};
+use crate::metrics::FleetMetrics;
 use safecross::{FramePrep, SafeCross, Verdict};
 use safecross_tensor::Precision;
 use safecross_trafficsim::Weather;
@@ -121,11 +121,10 @@ pub(crate) struct StreamSession {
     /// grouping: int8 and f32 streams never share a stacked forward.
     pub precision: Precision,
     pub stats: StreamStats,
-    metrics: StreamMetrics,
 }
 
 impl StreamSession {
-    pub(crate) fn new(inner: SafeCross, metrics: StreamMetrics, precision: Precision) -> Self {
+    pub(crate) fn new(inner: SafeCross, precision: Precision) -> Self {
         StreamSession {
             inner,
             queue: VecDeque::new(),
@@ -137,7 +136,6 @@ impl StreamSession {
             hot_until: 0,
             precision,
             stats: StreamStats::default(),
-            metrics,
         }
     }
 
@@ -177,7 +175,6 @@ impl StreamSession {
         if shedding && self.queue.len() >= capacity {
             self.queue.pop_front();
             self.stats.shed_overflow += 1;
-            self.metrics.shed_overflow.inc();
             fleet.shed_overflow.inc();
         }
         self.queue.push_back(PendingFrame {
@@ -186,10 +183,7 @@ impl StreamSession {
         });
         self.stats.admitted += 1;
         fleet.admitted.inc();
-        let depth = self.queue.len() as u64;
-        self.stats.queue_peak = self.stats.queue_peak.max(depth);
-        self.metrics.queue_depth.set(depth as f64);
-        self.metrics.queue_high_water.set_max(depth as f64);
+        self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
 
     /// Pops the next frame to process, shedding any that outlived the
@@ -206,16 +200,13 @@ impl StreamSession {
                 if let Some(deadline) = deadline {
                     if pending.admitted.elapsed() > deadline {
                         self.stats.shed_stale += 1;
-                        self.metrics.shed_stale.inc();
                         fleet.shed_stale.inc();
                         continue;
                     }
                 }
             }
-            self.metrics.queue_depth.set(self.queue.len() as f64);
             return Some(pending);
         }
-        self.metrics.queue_depth.set(0.0);
         None
     }
 
@@ -272,7 +263,6 @@ impl StreamSession {
             ages.push(age_ms);
             fleet.frame_age_ms.observe_ms(age_ms);
             fleet.completed.inc();
-            self.metrics.completed.inc();
             self.stats.completed += 1;
             self.next_complete += 1;
         }

@@ -13,8 +13,7 @@
 //!    every thread count including 1** — partitioning only decides *who*
 //!    computes an element, never the order of the floating-point
 //!    additions that produce it. This is the property that lets the
-//!    `pipeline_equivalence` and `serve_equivalence` suites pass
-//!    unmodified at any thread count.
+//!    `serve_equivalence` suite pass unmodified at any thread count.
 //! 2. **Scratch reuse.** [`KernelScratch`] is a free-list of `f32`
 //!    buffers that conv/pool/norm forwards borrow instead of allocating;
 //!    once warm, the steady-state classify path performs zero heap

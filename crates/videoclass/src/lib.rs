@@ -29,6 +29,6 @@ pub use c3d::C3dLite;
 pub use model::{concat_channels, split_channels, temporal_subsample, temporal_upsample_grad, VideoClassifier};
 pub use slowfast::SlowFastLite;
 pub use train::{
-    evaluate, evaluate_parallel, train, train_batches, EvalReport, TrainConfig, TrainReport,
+    evaluate, train, train_batches, EvalReport, TrainConfig, TrainReport,
 };
 pub use tsn::TsnLite;

@@ -144,20 +144,16 @@ pub fn train_batches(
     report
 }
 
-/// Batch size used by the evaluation paths. Shared so the parallel
-/// evaluator forwards exactly the same batches as the sequential one.
-const EVAL_BATCH: usize = 16;
-
-/// Forwards `chunks` of dataset indices in eval mode, collecting
-/// per-sample logits and labels in order.
-fn eval_batches(
-    model: &mut dyn VideoClassifier,
-    data: &Dataset,
-    chunks: &[&[usize]],
-) -> (Vec<Tensor>, Vec<usize>) {
+/// Evaluates `model` on the given indices (eval mode, batched).
+///
+/// # Panics
+///
+/// Panics if `indices` is empty.
+pub fn evaluate(model: &mut dyn VideoClassifier, data: &Dataset, indices: &[usize]) -> EvalReport {
+    assert!(!indices.is_empty(), "cannot evaluate an empty index set");
     let mut all_logits: Vec<Tensor> = Vec::new();
     let mut all_labels: Vec<usize> = Vec::new();
-    for chunk in chunks {
+    for chunk in indices.chunks(16) {
         let (x, y) = data.batch(chunk);
         let logits = model.forward(&x, Mode::Eval);
         for i in 0..y.len() {
@@ -165,11 +161,6 @@ fn eval_batches(
         }
         all_labels.extend(y);
     }
-    (all_logits, all_labels)
-}
-
-/// Builds the metrics report from collected per-sample logits.
-fn report_from(all_logits: Vec<Tensor>, all_labels: Vec<usize>) -> EvalReport {
     let logits = Tensor::stack(&all_logits);
     let mut confusion = [[0usize; 2]; 2];
     for (pred, &truth) in logits.argmax_rows().iter().zip(&all_labels) {
@@ -181,58 +172,6 @@ fn report_from(all_logits: Vec<Tensor>, all_labels: Vec<usize>) -> EvalReport {
         confusion,
         samples: all_labels.len(),
     }
-}
-
-/// Evaluates `model` on the given indices (eval mode, batched).
-///
-/// # Panics
-///
-/// Panics if `indices` is empty.
-pub fn evaluate(model: &mut dyn VideoClassifier, data: &Dataset, indices: &[usize]) -> EvalReport {
-    assert!(!indices.is_empty(), "cannot evaluate an empty index set");
-    let chunks: Vec<&[usize]> = indices.chunks(EVAL_BATCH).collect();
-    let (all_logits, all_labels) = eval_batches(model, data, &chunks);
-    report_from(all_logits, all_labels)
-}
-
-/// Evaluates `model` on `indices` with the work sharded across
-/// `workers` threads, each forwarding a private clone of the model.
-///
-/// Samples are independent in eval mode and the shards are formed on
-/// the same batch boundaries [`evaluate`] uses, so the report is
-/// identical to the sequential one.
-///
-/// # Panics
-///
-/// Panics if `indices` is empty or `workers` is zero.
-pub fn evaluate_parallel<M>(model: &M, data: &Dataset, indices: &[usize], workers: usize) -> EvalReport
-where
-    M: VideoClassifier + Clone + Send + Sync,
-{
-    assert!(!indices.is_empty(), "cannot evaluate an empty index set");
-    assert!(workers > 0, "need at least one worker");
-    let chunks: Vec<&[usize]> = indices.chunks(EVAL_BATCH).collect();
-    let shard_len = chunks.len().div_ceil(workers);
-    let (all_logits, all_labels) = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .chunks(shard_len)
-            .map(|shard| {
-                s.spawn(move || {
-                    let mut local = model.clone();
-                    eval_batches(&mut local, data, shard)
-                })
-            })
-            .collect();
-        let mut all_logits = Vec::new();
-        let mut all_labels = Vec::new();
-        for handle in handles {
-            let (logits, labels) = handle.join().expect("evaluation worker panicked");
-            all_logits.extend(logits);
-            all_labels.extend(labels);
-        }
-        (all_logits, all_labels)
-    });
-    report_from(all_logits, all_labels)
 }
 
 #[cfg(test)]
@@ -287,19 +226,6 @@ mod tests {
         let trace = report.confusion[0][0] + report.confusion[1][1];
         assert!((report.top1 - trace as f32 / total as f32).abs() < 1e-6);
         assert!(!format!("{report}").is_empty());
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let data = tiny_dataset();
-        let mut rng = TensorRng::seed_from(4);
-        let mut model = SlowFastLite::new(2, &mut rng);
-        let all: Vec<usize> = (0..data.len()).collect();
-        let sequential = evaluate(&mut model, &data, &all);
-        for workers in [1, 2, 5] {
-            let parallel = evaluate_parallel(&model, &data, &all, workers);
-            assert_eq!(parallel, sequential, "workers = {workers}");
-        }
     }
 
     #[test]

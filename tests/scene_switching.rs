@@ -47,8 +47,15 @@ fn weather_transitions_switch_models_once_each() {
     assert_eq!(s3.len(), 1);
     assert_eq!(s3[0].0, Weather::Daytime);
     assert_eq!(sc.current_scene(), Weather::Daytime);
-    // The switch log saw: initial daytime registration, snow, daytime.
+    // The switch log saw: initial daytime registration, snow, daytime —
+    // each attributed to the absolute index of the frame whose vote
+    // flipped the scene, so no switch lands before its transition.
     assert_eq!(sc.switch_count(), 3);
+    sc.with_switch_log(|log| {
+        assert_eq!(log[0].frame, 0, "initial registration switch is frame 0");
+        assert!((30..60).contains(&log[1].frame), "snow switch at {}", log[1].frame);
+        assert!((60..90).contains(&log[2].frame), "daytime switch at {}", log[2].frame);
+    });
 }
 
 #[test]

@@ -4,9 +4,11 @@
 //! counter, and final scene must match a standalone sequential
 //! `process_frame` loop over the same frames with the same models —
 //! in the deterministic single-threaded reference mode AND in the real
-//! threaded mode with shedding disabled (lossless serving).
+//! threaded mode with shedding disabled (lossless serving). One camera
+//! is a fleet of one: the same contract holds for a lone stream at any
+//! shard count, where the spare shards are pure executors.
 
-use safecross::{SafeCross, SafeCrossConfig};
+use safecross::{FrameOutcome, SafeCross, SafeCrossConfig};
 use safecross_serve::{paced_feed, FleetServer, ServeConfig, StreamSpec};
 use safecross_tensor::TensorRng;
 use safecross_trafficsim::sim::DT;
@@ -26,8 +28,12 @@ fn shared_models() -> Vec<(Weather, SlowFastLite)> {
         .collect()
 }
 
-fn standalone(models: &[(Weather, SlowFastLite)]) -> SafeCross {
-    let mut sc = SafeCross::try_new(SafeCrossConfig::default()).expect("default config is valid");
+fn standalone(models: &[(Weather, SlowFastLite)], telemetry: bool) -> SafeCross {
+    let config = SafeCrossConfig::builder()
+        .telemetry(telemetry)
+        .build()
+        .expect("valid configuration");
+    let mut sc = SafeCross::try_new(config).expect("validated configuration");
     for (w, m) in models {
         sc.register_model(*w, m.clone());
     }
@@ -82,7 +88,7 @@ fn expected_states(
     feeds
         .iter()
         .map(|frames| {
-            let mut sc = standalone(models);
+            let mut sc = standalone(models, false);
             for f in frames {
                 sc.process_frame(f);
             }
@@ -174,8 +180,7 @@ fn threaded_lossless_mode_is_bit_identical_to_standalone() {
 #[test]
 fn threaded_equivalence_is_shard_count_independent() {
     // Shard count changes executor interleaving, never per-stream
-    // results — same role the channel-capacity sweep plays for the
-    // staged pipeline.
+    // results.
     let models = shared_models();
     let feeds: Vec<Vec<GrayFrame>> = vec![
         stream(&[(Weather::Daytime, 20), (Weather::Snow, 22)], 7),
@@ -240,4 +245,129 @@ fn reference_and_threaded_agree_with_each_other() {
             "stream {i} diverged between modes"
         );
     }
+}
+
+/// A lossless fleet serving one camera over `shards` shard threads,
+/// with fleet and session telemetry both on or both off.
+fn one_camera_fleet(
+    models: &[(Weather, SlowFastLite)],
+    shards: usize,
+    telemetry: bool,
+) -> FleetServer {
+    let stream = SafeCrossConfig::builder()
+        .telemetry(telemetry)
+        .build()
+        .expect("valid configuration");
+    let config = ServeConfig::builder()
+        .shards(shards)
+        .shedding(false)
+        .telemetry(telemetry)
+        .stream(stream)
+        .build()
+        .expect("valid serve configuration");
+    let mut fleet = FleetServer::new(config).expect("valid serve configuration");
+    for (w, m) in models {
+        fleet.register_model(*w, m.clone()).expect("models first");
+    }
+    fleet.open_stream(StreamSpec::new()).expect("models are registered");
+    fleet
+}
+
+fn snow_round_trip() -> Vec<GrayFrame> {
+    stream(
+        &[
+            (Weather::Daytime, 36),
+            (Weather::Snow, 36),
+            (Weather::Daytime, 36),
+        ],
+        11,
+    )
+}
+
+#[test]
+fn one_camera_fleet_is_bit_identical_at_any_shard_count() {
+    // Streams < shards: the shards that own no stream settle at once
+    // and execute stolen batches, overlapping the camera's VP with its
+    // classification. Verdicts, frame count, final scene and the switch
+    // log (two mid-stream switches, model reuse) must not notice.
+    let models = shared_models();
+    let frames = snow_round_trip();
+    let expected = expected_states(&models, std::slice::from_ref(&frames));
+
+    for shards in [1, 2, 4] {
+        let mut served = one_camera_fleet(&models, shards, false);
+        let report = served
+            .run(vec![paced_feed(frames.clone(), Duration::ZERO)])
+            .expect("one-camera run succeeds");
+        assert_eq!(report.completed as usize, frames.len(), "shards {shards}");
+        assert_eq!(report.shed, 0);
+        assert_streams_match(&served, &expected);
+    }
+}
+
+#[test]
+fn instrumentation_does_not_perturb_outcomes() {
+    // The bit-identity guarantee must survive live telemetry: an
+    // instrumented sequential loop and a fully instrumented one-camera
+    // fleet both agree with the uninstrumented sequential loop.
+    let models = shared_models();
+    let frames = snow_round_trip();
+
+    let mut plain = standalone(&models, false);
+    let expected: Vec<FrameOutcome> = frames.iter().map(|f| plain.process_frame(f)).collect();
+
+    let mut timed = standalone(&models, true);
+    let timed_outcomes: Vec<FrameOutcome> =
+        frames.iter().map(|f| timed.process_frame(f)).collect();
+    assert_eq!(timed_outcomes, expected, "sequential diverged under telemetry");
+    assert_eq!(
+        timed
+            .telemetry()
+            .snapshot()
+            .histogram("stage.classify.step_ms")
+            .map(|h| h.count),
+        Some(frames.len() as u64)
+    );
+
+    let plain = [plain];
+    let mut fleets = Vec::new();
+    for shards in [1, 2, 4] {
+        let mut served = one_camera_fleet(&models, shards, true);
+        served
+            .run(vec![paced_feed(frames.clone(), Duration::ZERO)])
+            .expect("one-camera run succeeds");
+        assert_streams_match(&served, &plain);
+        assert_eq!(
+            served.telemetry().snapshot().counter("serve.completed"),
+            Some(frames.len() as u64)
+        );
+        fleets.push(served);
+    }
+
+    // And the instrumentation actually recorded the run: every driver
+    // counted every frame through the scene and VP stages, and saw the
+    // initial daytime switch plus the two mid-stream ones.
+    let served_sessions = fleets.iter().map(|f| f.handles()[0].session(f));
+    for sc in std::iter::once(&timed).chain(served_sessions) {
+        let snap = sc.telemetry().snapshot();
+        assert_eq!(snap.counter("stage.scene.frames"), Some(frames.len() as u64));
+        assert_eq!(snap.counter("vp.frames"), Some(frames.len() as u64));
+        assert_eq!(snap.counter("ms.switches"), Some(3));
+    }
+}
+
+#[test]
+fn idle_shard_executes_for_a_lone_stream() {
+    // A flooded single camera at two shards: the shard that owns no
+    // stream must pick up batches, or the second core is wasted.
+    let models = shared_models();
+    let frames: Vec<GrayFrame> = (0..240)
+        .map(|i| GrayFrame::filled(320, 240, 70 + (i % 40) as u8))
+        .collect();
+    let mut served = one_camera_fleet(&models, 2, false);
+    let report = served
+        .run(vec![paced_feed(frames, Duration::ZERO)])
+        .expect("one-camera run succeeds");
+    assert_eq!(report.completed, 240);
+    assert!(report.steals > 0, "the idle shard never executed a batch");
 }
