@@ -30,13 +30,11 @@
 #![warn(missing_docs)]
 
 mod generator;
-mod io;
 mod label;
 mod set;
 mod spec;
 
 pub use generator::SegmentGenerator;
-pub use io::{load_dataset, save_dataset, DatasetIoError};
 pub use label::{Class, SegmentLabel, TurnAction};
 pub use set::{Dataset, DatasetStats, GridSegment, Split};
 pub use spec::DatasetSpec;

@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn bgs_detects_and_beats_the_flow_methods() {
         // The full Table II ordering (including the paper-size YOLO) is
-        // asserted by the release-mode bench; here the Small YOLO keeps
+        // printed by `paper_tables table2`; here the Small YOLO keeps
         // the test fast, so only the flow comparisons are meaningful.
         let rows = shootout(&quick_config());
         let bgs = &rows[0];

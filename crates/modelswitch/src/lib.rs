@@ -54,7 +54,7 @@ pub use switcher::{
     ModelSwitcher, SwitchBreakdown, SwitchError, SwitchFaultHook, SwitchOutcome, SwitchRecord,
 };
 
-// The manifest types are defined next to the v2 serialisation format in
+// The manifest types are defined next to the checkpoint format in
 // `safecross-nn`; re-exported here because they are the lingua franca
 // between checkpoints on disk, the store, and the switcher.
 pub use safecross_nn::{GroupManifest, ModelManifest};

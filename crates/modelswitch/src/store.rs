@@ -12,7 +12,7 @@
 //! nothing else uses.
 //!
 //! The manifest type is [`safecross_nn::ModelManifest`] — the same
-//! structure `safecross_nn::save_grouped` writes to disk — so a v2
+//! structure `safecross_nn::save_grouped` writes to disk — so a
 //! weight file, an in-memory registration, and a switcher activation all
 //! describe a model identically. [`ModelRegistry::model_desc`] projects
 //! a manifest onto [`ModelDesc`] with one [`LayerDesc`] per group, which
@@ -535,7 +535,7 @@ impl ModelRegistry {
     }
 
     /// Stores a pre-built int8 sidecar for checkpoint `name` (e.g. one
-    /// loaded from a v3 weight file), replacing any existing sidecar.
+    /// loaded from a weight file), replacing any existing sidecar.
     /// Content-addressed and refcounted like the f32 groups. Returns
     /// `false` — and stores nothing — when `name` is not registered,
     /// since a sidecar without its f32 twin cannot be validated or kept

@@ -81,7 +81,7 @@ impl SwitchBreakdown {
     }
 }
 
-/// One completed model swap, as recorded in [`ModelSwitcher::switch_log`].
+/// One completed model swap, as handed to [`ModelSwitcher::with_switch_log`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchRecord {
     /// The model switched *to*.
@@ -468,19 +468,11 @@ impl ModelSwitcher {
         Ok(SwitchOutcome::Switched(report))
     }
 
-    /// Every switch performed so far, oldest first.
-    ///
-    /// This clones the whole log; prefer
-    /// [`ModelSwitcher::with_switch_log`] when a borrowed view is
-    /// enough (iteration, length checks, comparisons).
-    pub fn switch_log(&self) -> Vec<SwitchRecord> {
-        self.with_switch_log(|log| log.to_vec())
-    }
-
-    /// Runs `f` over a borrowed view of the switch log, oldest first,
-    /// without cloning any record. The switcher's lock is held for the
-    /// duration of `f`, so keep the closure short and do not call back
-    /// into the switcher from inside it.
+    /// Runs `f` over a borrowed view of the switch log — every switch
+    /// performed so far, oldest first — without cloning any record. The
+    /// switcher's lock is held for the duration of `f`, so keep the
+    /// closure short and do not call back into the switcher from inside
+    /// it.
     pub fn with_switch_log<R>(&self, f: impl FnOnce(&[SwitchRecord]) -> R) -> R {
         f(&self.inner.lock().expect("switcher mutex poisoned").switch_log)
     }
@@ -611,7 +603,7 @@ mod tests {
         assert_eq!(o2.latency_ms(), 0.0);
         s.switch_to("snow").unwrap();
         assert_eq!(s.active().as_deref(), Some("snow"));
-        assert_eq!(s.switch_log().len(), 2);
+        assert_eq!(s.switch_count(), 2);
     }
 
     #[test]
@@ -676,7 +668,7 @@ mod tests {
         // already-active model is still a no-op, and the log holds only
         // the one successful switch.
         assert_eq!(s.switch_to("daytime").unwrap(), SwitchOutcome::AlreadyActive);
-        assert_eq!(s.switch_log().len(), 1);
+        assert_eq!(s.switch_count(), 1);
     }
 
     #[test]
@@ -684,19 +676,20 @@ mod tests {
         let s = switcher(SwitchStrategy::PipelinedOptimal);
         s.switch_to_at("daytime", 7).unwrap();
         s.switch_to_at("snow", 42).unwrap();
-        let log = s.switch_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].model, "daytime");
-        assert_eq!(log[0].frame, 7);
-        assert_eq!(log[1].model, "snow");
-        assert_eq!(log[1].frame, 42);
-        for rec in &log {
-            assert!(rec.latency_ms > 0.0);
-            assert!(rec.breakdown.transmit_ms > 0.0);
-            assert!(rec.breakdown.compute_ms > 0.0);
-            // Pipelined strategies skip per-task setup entirely.
-            assert_eq!(rec.breakdown.setup_ms, 0.0);
-        }
+        s.with_switch_log(|log| {
+            assert_eq!(log.len(), 2);
+            assert_eq!(log[0].model, "daytime");
+            assert_eq!(log[0].frame, 7);
+            assert_eq!(log[1].model, "snow");
+            assert_eq!(log[1].frame, 42);
+            for rec in log {
+                assert!(rec.latency_ms > 0.0);
+                assert!(rec.breakdown.transmit_ms > 0.0);
+                assert!(rec.breakdown.compute_ms > 0.0);
+                // Pipelined strategies skip per-task setup entirely.
+                assert_eq!(rec.breakdown.setup_ms, 0.0);
+            }
+        });
     }
 
     #[test]

@@ -62,9 +62,7 @@ pub use param::Param;
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d, MaxPool3d};
 pub use sequential::Sequential;
 pub use serialize::{
-    load_grouped, load_grouped_quantized, load_tensors, manifest_for, save_grouped,
-    save_grouped_quantized, save_tensors, GroupManifest, ModelManifest, SerializeError,
-    V1_COMPAT_GROUP,
+    load_grouped, manifest_for, save_grouped, GroupManifest, ModelManifest, SerializeError,
 };
 
 #[cfg(test)]

@@ -1,26 +1,24 @@
-//! Weight serialisation: the SafeCross state-dictionary formats.
+//! Weight serialisation: the SafeCross checkpoint format.
 //!
-//! Two on-disk layouts share the `"SCNN"` magic (all integers
-//! little-endian):
-//!
-//! **v1** — a flat list of named tensors:
-//!
-//! ```text
-//! magic "SCNN" | u32 version = 1 | u32 entry count
-//! per entry: u32 name len | name bytes | u32 ndim | u32 dims... | f32 data...
-//! ```
-//!
-//! **v2** — the model artifact IR: a *manifest* of layer groups followed
-//! by the same entry encoding, with entries stored in manifest order:
+//! One on-disk layout, magic `"SCNN"` (all integers little-endian): a
+//! *manifest* of layer groups, the f32 tensors in manifest order, then
+//! an *int8 sidecar* — quantized copies
+//! ([`safecross_tensor::QTensor`], symmetric per-leading-row scales) of
+//! whichever weights the writer chose to quantize, possibly none:
 //!
 //! ```text
-//! magic "SCNN" | u32 version = 2
+//! magic "SCNN" | u32 version = 3
 //! u32 model-name len | model-name bytes
 //! u32 group count
 //! per group: u32 name len | name bytes
 //!            | u32 param count | per param: u32 name len | name bytes
 //!            | u64 payload bytes | u64 content hash
-//! u32 entry count | entries as in v1 (concatenated groups, in order)
+//! u32 entry count
+//! per entry: u32 name len | name bytes | u32 ndim | u32 dims... | f32 data...
+//! u32 sidecar count
+//! per quantized tensor: u32 name len | name bytes
+//!                       | u32 ndim | u32 dims...
+//!                       | f32 scales (dims[0] of them) | i8 data...
 //! ```
 //!
 //! The manifest is the contract with `safecross-modelswitch`: each group
@@ -29,31 +27,18 @@
 //! that the model registry uses to deduplicate identical groups across
 //! checkpoints. Transmission payloads in the switch timeline are derived
 //! from these manifest byte counts — not from hand-written descriptors
-//! and not from the total file size.
+//! and not from the total file size. The sidecar only adds the cheaper
+//! int8 copies that precision-aware consumers (the model registry, the
+//! serving fleet) may activate; the f32 entries never depend on it.
 //!
-//! **v3** — v2 plus an *int8 sidecar*: after the f32 entries, a list of
-//! quantized tensors ([`safecross_tensor::QTensor`], symmetric
-//! per-leading-row scales) stored beside their full-precision twins:
-//!
-//! ```text
-//! v2 layout with u32 version = 3, then:
-//! u32 sidecar count
-//! per quantized tensor: u32 name len | name bytes
-//!                       | u32 ndim | u32 dims...
-//!                       | f32 scales (dims[0] of them) | i8 data...
-//! ```
-//!
-//! The f32 entries stay byte-identical to what v2 would write, so the
-//! bit-identity contract on full-precision weights is unaffected; the
-//! sidecar only adds the cheaper int8 copies that precision-aware
-//! consumers (the model registry, the serving fleet) may activate.
-//! [`save_grouped`] keeps emitting v2; [`save_grouped_quantized`] emits
-//! v3.
-//!
-//! [`load_tensors`] and [`load_grouped`] read all versions; a v1 file
-//! surfaces as a single group named `"all"` so older checkpoints keep
-//! working (see `tests/model_io.rs`), and the sidecar of a v3 file is
-//! surfaced by [`load_grouped_quantized`] (other readers skip it).
+//! [`save_grouped`] is the only writer and [`load_grouped`] the only
+//! reader. The version word is 3 because two earlier layouts existed (a
+//! flat tensor list, and this layout without the sidecar); no file in
+//! either was ever shipped, so the reader rejects them — like any other
+//! version word — with [`SerializeError::Format`]. The reader treats the
+//! file as untrusted: every count is bounded by the bytes left to hold
+//! that many items before anything is allocated for it, and every
+//! extent product is overflow-checked.
 
 use safecross_tensor::{content_hash, QTensor, Tensor};
 use std::fmt;
@@ -62,11 +47,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SCNN";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
-/// Group name synthesised when reading a v1 file through the grouped API.
-pub const V1_COMPAT_GROUP: &str = "all";
+const VERSION: u32 = 3;
 
 /// Errors produced while reading a weight file.
 #[derive(Debug)]
@@ -101,7 +82,7 @@ impl From<io::Error> for SerializeError {
     }
 }
 
-/// One layer group in a v2 manifest: a named, contiguous slice of the
+/// One layer group in a checkpoint manifest: a named, contiguous slice of the
 /// state dictionary that moves as a unit during a model switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupManifest {
@@ -116,7 +97,7 @@ pub struct GroupManifest {
     pub hash: u64,
 }
 
-/// The v2 manifest: a model name plus its ordered layer groups.
+/// The checkpoint manifest: a model name plus its ordered layer groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelManifest {
     /// Model identifier (e.g. a weather label or checkpoint name).
@@ -172,68 +153,6 @@ fn write_entry(f: &mut File, name: &str, tensor: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes named tensors to `path` in the legacy flat v1 format.
-///
-/// New code should prefer [`save_grouped`], which records the layer-group
-/// manifest the model registry and switcher consume; this writer is kept
-/// so v1 fixtures and pre-manifest checkpoints can still be produced and
-/// read back (see [`load_tensors`]).
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn save_tensors(path: &Path, named: &[(String, Tensor)]) -> Result<(), SerializeError> {
-    let mut f = File::create(path)?;
-    f.write_all(MAGIC)?;
-    f.write_all(&VERSION_V1.to_le_bytes())?;
-    f.write_all(&(named.len() as u32).to_le_bytes())?;
-    for (name, tensor) in named {
-        write_entry(&mut f, name, tensor)?;
-    }
-    Ok(())
-}
-
-/// Writes a grouped state dictionary to `path` in the v2 format and
-/// returns the manifest that was recorded.
-///
-/// Groups are written in the given order; within a group, tensors keep
-/// their order. That order is load-bearing: it is the order a
-/// [`ModelSwitcher`](../safecross_modelswitch/struct.ModelSwitcher.html)
-/// activates groups in.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn save_grouped(
-    path: &Path,
-    model: &str,
-    groups: &[(String, Vec<(String, Tensor)>)],
-) -> Result<ModelManifest, SerializeError> {
-    let manifest = manifest_for(model, groups);
-    let mut f = File::create(path)?;
-    f.write_all(MAGIC)?;
-    f.write_all(&VERSION_V2.to_le_bytes())?;
-    write_str(&mut f, model)?;
-    f.write_all(&(manifest.groups.len() as u32).to_le_bytes())?;
-    for g in &manifest.groups {
-        write_str(&mut f, &g.name)?;
-        f.write_all(&(g.params.len() as u32).to_le_bytes())?;
-        for p in &g.params {
-            write_str(&mut f, p)?;
-        }
-        f.write_all(&(g.bytes as u64).to_le_bytes())?;
-        f.write_all(&g.hash.to_le_bytes())?;
-    }
-    let total: usize = groups.iter().map(|(_, e)| e.len()).sum();
-    f.write_all(&(total as u32).to_le_bytes())?;
-    for (_, entries) in groups {
-        for (name, tensor) in entries {
-            write_entry(&mut f, name, tensor)?;
-        }
-    }
-    Ok(manifest)
-}
-
 fn write_qentry(f: &mut File, name: &str, q: &QTensor) -> io::Result<()> {
     write_str(f, name)?;
     f.write_all(&(q.dims().len() as u32).to_le_bytes())?;
@@ -249,18 +168,21 @@ fn write_qentry(f: &mut File, name: &str, q: &QTensor) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes a grouped state dictionary plus an int8 sidecar to `path` in
-/// the v3 format and returns the (f32) manifest that was recorded.
+/// Writes a grouped state dictionary and its int8 sidecar to `path` and
+/// returns the (f32) manifest that was recorded.
 ///
-/// The f32 section is byte-identical to [`save_grouped`]'s apart from the
-/// version word; `quantized` entries are appended after it in the given
-/// order (conventionally the same qualified names as the f32 tensors they
-/// shadow, restricted to quantizable weights).
+/// Groups are written in the given order; within a group, tensors keep
+/// their order. That order is load-bearing: it is the order a
+/// [`ModelSwitcher`](../safecross_modelswitch/struct.ModelSwitcher.html)
+/// activates groups in. `quantized` entries follow the f32 section in
+/// the given order (conventionally the same qualified names as the f32
+/// tensors they shadow, restricted to quantizable weights); pass `&[]`
+/// for a full-precision-only checkpoint.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from creating or writing the file.
-pub fn save_grouped_quantized(
+pub fn save_grouped(
     path: &Path,
     model: &str,
     groups: &[(String, Vec<(String, Tensor)>)],
@@ -269,7 +191,7 @@ pub fn save_grouped_quantized(
     let manifest = manifest_for(model, groups);
     let mut f = File::create(path)?;
     f.write_all(MAGIC)?;
-    f.write_all(&VERSION_V3.to_le_bytes())?;
+    f.write_all(&VERSION.to_le_bytes())?;
     write_str(&mut f, model)?;
     f.write_all(&(manifest.groups.len() as u32).to_le_bytes())?;
     for g in &manifest.groups {
@@ -295,16 +217,29 @@ pub fn save_grouped_quantized(
     Ok(manifest)
 }
 
+/// Fewest bytes a length-prefixed name can occupy (an empty string is
+/// just its length word); also the size of one recorded dim.
+const WORD: usize = 4;
+/// Fewest bytes a tensor entry, f32 or int8, can occupy: its name's
+/// length word plus its `ndim` word.
+const MIN_ENTRY: usize = 2 * WORD;
+/// Fewest bytes a manifest group can occupy: name length word, param
+/// count, payload bytes, content hash.
+const MIN_GROUP: usize = 2 * WORD + 8 + 8;
+
 struct Reader<'a> {
     buf: &'a [u8],
     cursor: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// Bytes not yet consumed; `cursor <= buf.len()` always holds.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.cursor
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SerializeError> {
-        // `cursor <= buf.len()` always holds, so this subtraction form
-        // cannot overflow even when a corrupt file asks for a huge `n`.
-        if n > self.buf.len() - self.cursor {
+        if n > self.remaining() {
             return Err(SerializeError::Format("unexpected end of file".into()));
         }
         let s = &self.buf[self.cursor..self.cursor + n];
@@ -324,10 +259,30 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
+    /// Reads the count of a list whose items occupy at least `min_item`
+    /// bytes each and rejects it unless the bytes left could hold that
+    /// many — so no caller sizes an allocation from a count the file
+    /// cannot back.
+    fn take_count(&mut self, min_item: usize, what: &str) -> Result<usize, SerializeError> {
+        let count = self.take_u32()? as usize;
+        if count > self.remaining() / min_item {
+            return Err(SerializeError::Format(format!(
+                "{what} count {count} cannot fit in the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     fn take_str(&mut self) -> Result<String, SerializeError> {
         let len = self.take_u32()? as usize;
         String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| SerializeError::Format("non-utf8 name".into()))
+    }
+
+    fn take_dims(&mut self) -> Result<Vec<usize>, SerializeError> {
+        let ndim = self.take_count(WORD, "dim")?;
+        (0..ndim).map(|_| Ok(self.take_u32()? as usize)).collect()
     }
 
     /// Folds recorded dims into an element count with overflow checks,
@@ -339,180 +294,127 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| SerializeError::Format("tensor extent overflow".into()))
     }
 
-    fn take_entry(&mut self) -> Result<(String, Tensor), SerializeError> {
-        let name = self.take_str()?;
-        let ndim = self.take_u32()? as usize;
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(self.take_u32()? as usize);
-        }
-        let len = Self::checked_len(&dims)?.max(1);
-        let bytes = len
+    fn take_f32s(&mut self, count: usize) -> Result<Vec<f32>, SerializeError> {
+        let bytes = count
             .checked_mul(4)
             .ok_or_else(|| SerializeError::Format("tensor extent overflow".into()))?;
-        let raw = self.take(bytes)?;
-        let data: Vec<f32> = raw
+        Ok(self
+            .take(bytes)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
+            .collect())
+    }
+
+    fn take_entry(&mut self) -> Result<(String, Tensor), SerializeError> {
+        let name = self.take_str()?;
+        let dims = self.take_dims()?;
+        let data = self.take_f32s(Self::checked_len(&dims)?.max(1))?;
         Ok((name, Tensor::from_vec(data, &dims)))
     }
 
     fn take_qentry(&mut self) -> Result<(String, QTensor), SerializeError> {
         let name = self.take_str()?;
-        let ndim = self.take_u32()? as usize;
-        if ndim == 0 {
+        let dims = self.take_dims()?;
+        let Some(&rows) = dims.first() else {
             return Err(SerializeError::Format("0-d quantized tensor".into()));
-        }
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(self.take_u32()? as usize);
-        }
-        let rows = dims[0];
-        let scale_bytes = rows
-            .checked_mul(4)
-            .ok_or_else(|| SerializeError::Format("tensor extent overflow".into()))?;
-        let raw_scales = self.take(scale_bytes)?;
-        let scales: Vec<f32> = raw_scales
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
+        };
+        let scales = self.take_f32s(rows)?;
         let len = Self::checked_len(&dims)?;
         let data: Vec<i8> = self.take(len)?.iter().map(|&b| b as i8).collect();
         Ok((name, QTensor::from_parts(dims, data, scales)))
     }
 }
 
-/// Reads a weight file (any version) as a manifest, the flat f32 entry
-/// list in manifest order, and the int8 sidecar (empty for v1/v2).
-///
-/// A v1 file yields a single group named [`V1_COMPAT_GROUP`] with an
-/// empty model name; its byte size and content hash are computed from
-/// the loaded tensors, so v1 checkpoints dedupe correctly once imported
-/// into a registry. For v2/v3 files every group's recorded byte size and
-/// content hash are verified against the loaded tensors.
-///
-/// # Errors
-///
-/// Returns [`SerializeError::Format`] on magic/version mismatch,
-/// truncated data, or a manifest that disagrees with the entries, and
-/// [`SerializeError::Io`] on read failures.
-#[allow(clippy::type_complexity)]
-pub fn load_grouped_quantized(
-    path: &Path,
-) -> Result<(ModelManifest, Vec<(String, Tensor)>, Vec<(String, QTensor)>), SerializeError> {
-    let mut f = File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    let mut r = Reader { buf: &buf, cursor: 0 };
+/// A decoded checkpoint: the manifest, the flat f32 entry list in
+/// manifest order, and the int8 sidecar (possibly empty).
+type Checkpoint = (ModelManifest, Vec<(String, Tensor)>, Vec<(String, QTensor)>);
 
+fn decode(buf: &[u8]) -> Result<Checkpoint, SerializeError> {
+    let mut r = Reader { buf, cursor: 0 };
     if r.take(4)? != MAGIC {
         return Err(SerializeError::Format("bad magic".into()));
     }
     let version = r.take_u32()?;
-    match version {
-        VERSION_V1 => {
-            let count = r.take_u32()? as usize;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(r.take_entry()?);
-            }
-            let manifest = manifest_for(
-                "",
-                &[(V1_COMPAT_GROUP.to_owned(), entries.clone())],
-            );
-            Ok((manifest, entries, Vec::new()))
+    if version != VERSION {
+        return Err(SerializeError::Format(format!("unsupported version {version}")));
+    }
+    let model = r.take_str()?;
+    let group_count = r.take_count(MIN_GROUP, "group")?;
+    let mut groups = Vec::with_capacity(group_count);
+    for _ in 0..group_count {
+        let name = r.take_str()?;
+        let param_count = r.take_count(WORD, "param")?;
+        let mut params = Vec::with_capacity(param_count);
+        for _ in 0..param_count {
+            params.push(r.take_str()?);
         }
-        VERSION_V2 | VERSION_V3 => {
-            let model = r.take_str()?;
-            let group_count = r.take_u32()? as usize;
-            let mut groups = Vec::with_capacity(group_count);
-            for _ in 0..group_count {
-                let name = r.take_str()?;
-                let param_count = r.take_u32()? as usize;
-                let mut params = Vec::with_capacity(param_count);
-                for _ in 0..param_count {
-                    params.push(r.take_str()?);
-                }
-                let bytes = r.take_u64()? as usize;
-                let hash = r.take_u64()?;
-                groups.push(GroupManifest { name, params, bytes, hash });
-            }
-            let manifest = ModelManifest { model, groups };
-            let entry_count = r.take_u32()? as usize;
-            if entry_count != manifest.total_params() {
+        let bytes = r.take_u64()? as usize;
+        let hash = r.take_u64()?;
+        groups.push(GroupManifest { name, params, bytes, hash });
+    }
+    let manifest = ModelManifest { model, groups };
+    let entry_count = r.take_count(MIN_ENTRY, "entry")?;
+    if entry_count != manifest.total_params() {
+        return Err(SerializeError::Format(format!(
+            "manifest lists {} tensors but file stores {entry_count}",
+            manifest.total_params()
+        )));
+    }
+    let mut entries = Vec::with_capacity(entry_count);
+    for _ in 0..entry_count {
+        entries.push(r.take_entry()?);
+    }
+    // Verify the manifest against the payload: names, sizes and
+    // content hashes must all agree, group by group.
+    let mut offset = 0usize;
+    for g in &manifest.groups {
+        let slice = &entries[offset..offset + g.params.len()];
+        offset += g.params.len();
+        for (want, (got, _)) in g.params.iter().zip(slice) {
+            if want != got {
                 return Err(SerializeError::Format(format!(
-                    "manifest lists {} tensors but file stores {entry_count}",
-                    manifest.total_params()
+                    "group {:?}: manifest names {want:?} but payload stores {got:?}",
+                    g.name
                 )));
             }
-            let mut entries = Vec::with_capacity(entry_count);
-            for _ in 0..entry_count {
-                entries.push(r.take_entry()?);
-            }
-            // Verify the manifest against the payload: names, sizes and
-            // content hashes must all agree, group by group.
-            let mut offset = 0usize;
-            for g in &manifest.groups {
-                let slice = &entries[offset..offset + g.params.len()];
-                offset += g.params.len();
-                for (want, (got, _)) in g.params.iter().zip(slice) {
-                    if want != got {
-                        return Err(SerializeError::Format(format!(
-                            "group {:?}: manifest names {want:?} but payload stores {got:?}",
-                            g.name
-                        )));
-                    }
-                }
-                let bytes: usize = slice.iter().map(|(_, t)| t.len() * 4).sum();
-                if bytes != g.bytes {
-                    return Err(SerializeError::Format(format!(
-                        "group {:?}: manifest claims {} bytes but payload holds {bytes}",
-                        g.name, g.bytes
-                    )));
-                }
-                let hash = content_hash(slice.iter().map(|(_, t)| t));
-                if hash != g.hash {
-                    return Err(SerializeError::Format(format!(
-                        "group {:?}: content hash mismatch (corrupted payload?)",
-                        g.name
-                    )));
-                }
-            }
-            let quantized = if version == VERSION_V3 {
-                let qcount = r.take_u32()? as usize;
-                let mut q = Vec::with_capacity(qcount);
-                for _ in 0..qcount {
-                    q.push(r.take_qentry()?);
-                }
-                q
-            } else {
-                Vec::new()
-            };
-            Ok((manifest, entries, quantized))
         }
-        v => Err(SerializeError::Format(format!("unsupported version {v}"))),
+        let bytes: usize = slice.iter().map(|(_, t)| t.len() * 4).sum();
+        if bytes != g.bytes {
+            return Err(SerializeError::Format(format!(
+                "group {:?}: manifest claims {} bytes but payload holds {bytes}",
+                g.name, g.bytes
+            )));
+        }
+        let hash = content_hash(slice.iter().map(|(_, t)| t));
+        if hash != g.hash {
+            return Err(SerializeError::Format(format!(
+                "group {:?}: content hash mismatch (corrupted payload?)",
+                g.name
+            )));
+        }
     }
+    let qcount = r.take_count(MIN_ENTRY, "sidecar")?;
+    let mut quantized = Vec::with_capacity(qcount);
+    for _ in 0..qcount {
+        quantized.push(r.take_qentry()?);
+    }
+    Ok((manifest, entries, quantized))
 }
 
-/// Reads a weight file (any version) as a manifest plus the flat f32
-/// entry list, discarding any v3 int8 sidecar.
+/// Reads a checkpoint written by [`save_grouped`], verifying every
+/// group's recorded byte size and content hash against the loaded
+/// tensors.
 ///
 /// # Errors
 ///
-/// Same conditions as [`load_grouped_quantized`].
-pub fn load_grouped(path: &Path) -> Result<(ModelManifest, Vec<(String, Tensor)>), SerializeError> {
-    load_grouped_quantized(path).map(|(m, e, _)| (m, e))
-}
-
-/// Reads the named tensors from a weight file of either version,
-/// discarding the v2 manifest if present.
-///
-/// # Errors
-///
-/// Same conditions as [`load_grouped`].
-pub fn load_tensors(path: &Path) -> Result<Vec<(String, Tensor)>, SerializeError> {
-    load_grouped(path).map(|(_, entries)| entries)
+/// Returns [`SerializeError::Format`] on magic/version mismatch,
+/// truncated data, a count the file is too short to hold, or a manifest
+/// that disagrees with the entries, and [`SerializeError::Io`] on read
+/// failures.
+pub fn load_grouped(path: &Path) -> Result<Checkpoint, SerializeError> {
+    let mut buf = Vec::new();
+    File::open(path)?.read_to_end(&mut buf)?;
+    decode(&buf)
 }
 
 #[cfg(test)]
@@ -525,27 +427,38 @@ mod tests {
         env::temp_dir().join(format!("safecross_nn_test_{name}_{}", std::process::id()))
     }
 
-    #[test]
-    fn roundtrip_preserves_names_shapes_values() {
-        let mut rng = TensorRng::seed_from(0);
-        let named = vec![
-            ("fc.weight".to_owned(), rng.uniform(&[3, 4], -1.0, 1.0)),
-            ("fc.bias".to_owned(), rng.uniform(&[4], -1.0, 1.0)),
-            ("scalar".to_owned(), Tensor::scalar(7.5)),
-        ];
-        let path = tmp("roundtrip");
-        save_tensors(&path, &named).unwrap();
-        let loaded = load_tensors(&path).unwrap();
-        assert_eq!(loaded.len(), 3);
-        for ((n0, t0), (n1, t1)) in named.iter().zip(&loaded) {
-            assert_eq!(n0, n1);
-            assert_eq!(t0, t1);
-        }
+    /// Bytes of a checkpoint holding one group `g` with one tensor `w`.
+    fn small_checkpoint(name: &str, dims: &[usize]) -> Vec<u8> {
+        let mut rng = TensorRng::seed_from(3);
+        let groups = vec![(
+            "g".to_owned(),
+            vec![("w".to_owned(), rng.uniform(dims, -1.0, 1.0))],
+        )];
+        let path = tmp(name);
+        save_grouped(&path, "m", &groups, &[]).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(path).ok();
+        bytes
+    }
+
+    /// Magic, version and an empty model name: everything before the
+    /// group count.
+    fn header() -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes
+    }
+
+    fn format_error(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(SerializeError::Format(m)) => m,
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]
-    fn grouped_roundtrip_preserves_manifest_and_tensors() {
+    fn roundtrip_preserves_manifest_names_shapes_values() {
         let mut rng = TensorRng::seed_from(1);
         let groups = vec![
             (
@@ -557,44 +470,29 @@ mod tests {
             ),
             (
                 "head".to_owned(),
-                vec![("head.weight".to_owned(), rng.uniform(&[2, 4], -1.0, 1.0))],
+                vec![
+                    ("head.weight".to_owned(), rng.uniform(&[2, 4], -1.0, 1.0)),
+                    ("scalar".to_owned(), Tensor::scalar(7.5)),
+                ],
             ),
         ];
         let path = tmp("grouped_roundtrip");
-        let written = save_grouped(&path, "daytime", &groups).unwrap();
+        let written = save_grouped(&path, "daytime", &groups, &[]).unwrap();
         assert_eq!(written.model, "daytime");
-        assert_eq!(written.total_bytes(), (12 + 4 + 8) * 4);
-        let (manifest, entries) = load_grouped(&path).unwrap();
+        assert_eq!(written.total_bytes(), (12 + 4 + 8 + 1) * 4);
+        let (manifest, entries, sidecar) = load_grouped(&path).unwrap();
         assert_eq!(manifest, written);
         let flat: Vec<(String, Tensor)> = groups
             .iter()
             .flat_map(|(_, e)| e.iter().cloned())
             .collect();
         assert_eq!(entries, flat);
+        assert!(sidecar.is_empty());
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn v1_file_loads_as_single_compat_group() {
-        let mut rng = TensorRng::seed_from(2);
-        let named = vec![("w".to_owned(), rng.uniform(&[5], -1.0, 1.0))];
-        let path = tmp("v1compat");
-        save_tensors(&path, &named).unwrap();
-        let (manifest, entries) = load_grouped(&path).unwrap();
-        assert_eq!(manifest.model, "");
-        assert_eq!(manifest.groups.len(), 1);
-        assert_eq!(manifest.groups[0].name, V1_COMPAT_GROUP);
-        assert_eq!(manifest.groups[0].bytes, 5 * 4);
-        assert_eq!(
-            manifest.groups[0].hash,
-            content_hash(entries.iter().map(|(_, t)| t))
-        );
-        assert_eq!(entries, named);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn v3_roundtrip_preserves_sidecar_and_hides_it_from_v2_readers() {
+    fn sidecar_roundtrips_beside_the_f32_entries() {
         let mut rng = TensorRng::seed_from(4);
         let w = rng.uniform(&[3, 6], -1.0, 1.0);
         let groups = vec![(
@@ -605,51 +503,39 @@ mod tests {
             ],
         )];
         let quantized = vec![("head.weight".to_owned(), QTensor::quantize_rows(&w))];
-        let path = tmp("v3_roundtrip");
-        let written = save_grouped_quantized(&path, "night", &groups, &quantized).unwrap();
-        let (manifest, entries, sidecar) = load_grouped_quantized(&path).unwrap();
+        let path = tmp("sidecar_roundtrip");
+        let written = save_grouped(&path, "night", &groups, &quantized).unwrap();
+        let (manifest, entries, sidecar) = load_grouped(&path).unwrap();
         assert_eq!(manifest, written);
+        assert_eq!(manifest, manifest_for("night", &groups), "sidecar never enters the manifest");
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].1, w);
         assert_eq!(sidecar.len(), 1);
         assert_eq!(sidecar[0].0, "head.weight");
         assert_eq!(sidecar[0].1, quantized[0].1, "int8 bytes + scales must round-trip");
-        // The legacy readers see the same manifest and f32 tensors.
-        let (m2, e2) = load_grouped(&path).unwrap();
-        assert_eq!((m2, e2), (manifest, entries));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn v2_files_load_with_empty_sidecar() {
-        let mut rng = TensorRng::seed_from(5);
-        let groups = vec![(
-            "g".to_owned(),
-            vec![("w".to_owned(), rng.uniform(&[4, 4], -1.0, 1.0))],
-        )];
-        let path = tmp("v2_no_sidecar");
-        save_grouped(&path, "m", &groups).unwrap();
-        let (_, _, sidecar) = load_grouped_quantized(&path).unwrap();
-        assert!(sidecar.is_empty());
-        std::fs::remove_file(path).ok();
+    fn other_version_words_are_a_typed_error() {
+        // 1 and 2 are the retired layouts; 4 does not exist yet.
+        for version in [0u32, 1, 2, 4] {
+            let mut bytes = small_checkpoint("version_word", &[2, 2]);
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let m = format_error(&bytes);
+            assert!(m.contains(&format!("unsupported version {version}")), "{m}");
+        }
     }
 
     #[test]
-    fn corrupt_v3_sidecar_extents_fail_with_format_error() {
+    fn corrupt_sidecar_extents_fail_with_format_error() {
         // A malicious/corrupt sidecar whose dims product overflows usize
         // must come back as a Format error, not a multiply panic (debug)
         // or a wrapped length feeding QTensor's asserts (release).
-        let mut rng = TensorRng::seed_from(6);
-        let groups = vec![(
-            "g".to_owned(),
-            vec![("w".to_owned(), rng.uniform(&[2, 2], -1.0, 1.0))],
-        )];
-        let path = tmp("v3_extent_overflow");
-        save_grouped(&path, "m", &groups).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Rewrite the version to v3 and append a sidecar entry with one
-        // row but a 1 × (2³²−1)³ element extent.
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let mut bytes = small_checkpoint("extent_overflow", &[2, 2]);
+        // Replace the empty sidecar with one entry of one row but a
+        // 1 × (2³²−1)³ element extent.
+        bytes.truncate(bytes.len() - 4);
         bytes.extend_from_slice(&1u32.to_le_bytes()); // sidecar count
         bytes.extend_from_slice(&1u32.to_le_bytes()); // name len
         bytes.push(b'q');
@@ -659,40 +545,63 @@ mod tests {
             bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         }
         bytes.extend_from_slice(&1.0f32.to_le_bytes()); // the row's scale
-        std::fs::write(&path, &bytes).unwrap();
-        match load_grouped_quantized(&path) {
-            Err(SerializeError::Format(m)) => assert!(m.contains("overflow"), "{m}"),
-            other => panic!("expected extent-overflow error, got {other:?}"),
-        }
-        std::fs::remove_file(path).ok();
+        let m = format_error(&bytes);
+        assert!(m.contains("overflow"), "{m}");
     }
 
     #[test]
-    fn corrupted_v2_payload_fails_hash_verification() {
-        let mut rng = TensorRng::seed_from(3);
-        let groups = vec![(
-            "g".to_owned(),
-            vec![("w".to_owned(), rng.uniform(&[8], -1.0, 1.0))],
-        )];
-        let path = tmp("v2corrupt");
-        save_grouped(&path, "m", &groups).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one bit in the last f32 of the payload.
+    fn huge_counts_fail_before_anything_is_allocated_for_them() {
+        // Every list length in the format, set to u32::MAX in a file a
+        // few dozen bytes long. Sizing a Vec from any of them would ask
+        // for 16–400 GB (abort) or overflow the capacity (panic).
+        let huge = u32::MAX.to_le_bytes();
+
+        let mut groups = header();
+        groups.extend_from_slice(&huge);
+        assert!(format_error(&groups).contains("group count"));
+
+        let mut params = header();
+        params.extend_from_slice(&1u32.to_le_bytes()); // one group
+        params.extend_from_slice(&0u32.to_le_bytes()); // named ""
+        params.extend_from_slice(&huge);
+        params.extend_from_slice(&[0; 16]); // its bytes + hash
+        assert!(format_error(&params).contains("param count"));
+
+        let mut entries = header();
+        entries.extend_from_slice(&0u32.to_le_bytes()); // no groups
+        entries.extend_from_slice(&huge);
+        assert!(format_error(&entries).contains("entry count"));
+
+        // From a real file: the tensor's ndim, then the sidecar count.
+        let valid = small_checkpoint("huge_counts", &[2, 2]);
+        let ndim_at = valid.len() - 4 - 4 * 4 - 2 * 4 - 4; // sidecar, data, dims, ndim
+        assert_eq!(valid[ndim_at..ndim_at + 4], 2u32.to_le_bytes());
+        let mut ndim = valid.clone();
+        ndim[ndim_at..ndim_at + 4].copy_from_slice(&huge);
+        assert!(format_error(&ndim).contains("dim count"));
+
+        let mut sidecar = valid;
+        let at = sidecar.len() - 4;
+        sidecar[at..].copy_from_slice(&huge);
+        assert!(format_error(&sidecar).contains("sidecar count"));
+    }
+
+    #[test]
+    fn corrupted_payload_fails_hash_verification() {
+        let mut bytes = small_checkpoint("corrupt", &[8]);
+        // Flip one bit in the last f32 of the payload (the four bytes
+        // after it are the empty sidecar's count).
         let n = bytes.len();
-        bytes[n - 1] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        match load_grouped(&path) {
-            Err(SerializeError::Format(m)) => assert!(m.contains("hash"), "{m}"),
-            other => panic!("expected hash mismatch, got {other:?}"),
-        }
-        std::fs::remove_file(path).ok();
+        bytes[n - 5] ^= 0x01;
+        let m = format_error(&bytes);
+        assert!(m.contains("hash"), "{m}");
     }
 
     #[test]
     fn bad_magic_rejected() {
         let path = tmp("badmagic");
         std::fs::write(&path, b"NOPE....").unwrap();
-        match load_tensors(&path) {
+        match load_grouped(&path) {
             Err(SerializeError::Format(m)) => assert!(m.contains("magic")),
             other => panic!("expected format error, got {other:?}"),
         }
@@ -701,17 +610,9 @@ mod tests {
 
     #[test]
     fn truncated_file_rejected() {
-        let mut rng = TensorRng::seed_from(0);
-        let named = vec![("w".to_owned(), rng.uniform(&[10, 10], -1.0, 1.0))];
-        let path = tmp("truncated");
-        save_tensors(&path, &named).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(
-            load_tensors(&path),
-            Err(SerializeError::Format(_))
-        ));
-        std::fs::remove_file(path).ok();
+        let bytes = small_checkpoint("truncated", &[10, 10]);
+        let m = format_error(&bytes[..bytes.len() / 2]);
+        assert!(m.contains("end of file"), "{m}");
     }
 
     #[test]
@@ -744,10 +645,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         // Arbitrary group splits, names, and shapes must round-trip
-        // through the v2 format with bit-identical tensors and an
-        // identical manifest.
+        // with bit-identical tensors and an identical manifest.
         #[test]
-        fn v2_roundtrip_is_bit_identical(
+        fn roundtrip_is_bit_identical(
             spec in proptest::collection::vec(
                 proptest::collection::vec(
                     (0u64..1_000_000u64, proptest::collection::vec(1usize..5, 1..4)),
@@ -778,11 +678,11 @@ mod proptests {
 
             let case = CASE.fetch_add(1, Ordering::Relaxed);
             let path = std::env::temp_dir().join(format!(
-                "safecross_nn_v2_prop_{}_{case}",
+                "safecross_nn_prop_{}_{case}",
                 std::process::id()
             ));
-            let written = save_grouped(&path, "prop-model", &groups).unwrap();
-            let (manifest, entries) = load_grouped(&path).unwrap();
+            let written = save_grouped(&path, "prop-model", &groups, &[]).unwrap();
+            let (manifest, entries, _) = load_grouped(&path).unwrap();
             std::fs::remove_file(&path).ok();
 
             prop_assert_eq!(&manifest, &written);

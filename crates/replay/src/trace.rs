@@ -21,15 +21,20 @@
 //!   tag 0 TRAILER u64 FNV-1a hash of every preceding byte (last record)
 //! ```
 //!
-//! Like the `"SCNN"` checkpoint format, **old versions stay readable
-//! forever**: v2 changed only the *meaning* of the CONFIG record's
-//! first field (the worker-pool size became the shard count — same
-//! byte layout, and replaying a v1 trace on `shards = workers` is the
-//! faithful reproduction), so this reader accepts v1 and v2 alike and
-//! rejects versions it does not know with a typed error instead of
-//! misparsing. The trailer hash makes corruption — truncation, bit
-//! flips, a partial upload out of an RSU — a typed [`TraceError`], never
-//! a panic or a silently wrong replay.
+//! **Old versions stay readable forever**: v2 changed only the
+//! *meaning* of the CONFIG record's first field (the worker-pool size
+//! became the shard count — same byte layout, and replaying a v1 trace
+//! on `shards = workers` is the faithful reproduction), so this reader
+//! accepts v1 and v2 alike and rejects versions it does not know with a
+//! typed error instead of misparsing. The trailer hash makes corruption
+//! — truncation, bit flips, a partial upload out of an RSU — a typed
+//! [`TraceError`], never a panic or a silently wrong replay.
+//!
+//! The hash is not a signature, so a trace with a valid trailer is still
+//! untrusted: every count the reader allocates for is first bounded by
+//! the payload bytes left to hold that many items, a frame's `w × h` by
+//! what its pixel payload can decode to, and the stream count (which no
+//! per-stream bytes back) by [`MAX_STREAMS`].
 
 use safecross::{SafeCrossConfig, Verdict};
 use safecross_serve::ServeConfig;
@@ -58,6 +63,12 @@ const TAG_EVENT: u8 = 5;
 
 const ENC_RAW: u8 = 0;
 const ENC_RLE: u8 = 1;
+
+/// Most streams a CONFIG record may declare. The reader allocates three
+/// empty per-stream lists up front and nothing in the record backs the
+/// count with bytes, so it is capped outright: 65 536 streams (6× the
+/// largest soak in `tests/`) cost under 5 MB before the first frame.
+const MAX_STREAMS: usize = 1 << 16;
 
 /// Errors produced while reading a trace.
 #[derive(Debug)]
@@ -481,12 +492,17 @@ fn decode_config(p: &mut Reader<'_>) -> Result<(ServeConfig, ModelSpec, usize), 
     stream.preprocess.grid_height = p.take_u32()? as usize;
     let seed = p.take_u64()?;
     let classes = p.take_u32()? as usize;
-    let n_weathers = p.take_u32()? as usize;
+    let n_weathers = p.take_count(1, "weather")?;
     let mut weathers = Vec::with_capacity(n_weathers);
     for _ in 0..n_weathers {
         weathers.push(weather_from_code(p.take_u8()?)?);
     }
     let n_streams = p.take_u32()? as usize;
+    if n_streams > MAX_STREAMS {
+        return Err(TraceError::Format(format!(
+            "stream count {n_streams} exceeds the format's limit of {MAX_STREAMS}"
+        )));
+    }
     let serve = ServeConfig {
         shards,
         batch_max,
@@ -572,18 +588,22 @@ fn decode_frame(p: &mut Reader<'_>) -> Result<(u32, u32, RecordedFrame), TraceEr
     let height = p.take_u32()? as usize;
     let enc = p.take_u8()?;
     let rest = p.take(p.remaining())?;
-    let pixels = match enc {
-        ENC_RAW => {
-            if rest.len() != width * height {
-                return Err(TraceError::Format(format!(
-                    "raw frame payload {} bytes for {width}x{height}",
-                    rest.len()
-                )));
-            }
-            rest.to_vec()
+    // `w × h` is two untrusted words: accept it only if it is a real
+    // frame (`GrayFrame` refuses an empty one) and this payload decodes
+    // to exactly that many pixels (RAW is a byte each) or at least could
+    // (an RLE pair is two bytes for a run of at most 255), so the
+    // decoded buffer is never sized beyond 127.5× the payload.
+    let area = width.checked_mul(height).filter(|&n| n > 0);
+    let pixels = match (enc, area) {
+        (ENC_RAW, Some(n)) if n == rest.len() => rest.to_vec(),
+        (ENC_RLE, Some(n)) if n <= (rest.len() / 2).saturating_mul(255) => rle_decode(rest, n)?,
+        (ENC_RAW | ENC_RLE, _) => {
+            return Err(TraceError::Format(format!(
+                "{width}x{height} frame cannot come from a {}-byte payload",
+                rest.len()
+            )))
         }
-        ENC_RLE => rle_decode(rest, width * height)?,
-        other => return Err(TraceError::Format(format!("unknown frame encoding {other}"))),
+        (other, _) => return Err(TraceError::Format(format!("unknown frame encoding {other}"))),
     };
     Ok((
         stream,
@@ -658,6 +678,9 @@ fn decode_switch(p: &mut Reader<'_>) -> Result<(u32, RecordedSwitch), TraceError
 const FIELD_U64: u8 = 0;
 const FIELD_F64: u8 = 1;
 const FIELD_STR: u8 = 2;
+/// Fewest bytes an event field can occupy: its name's length word, the
+/// type byte, and the smallest value (an empty string's length word).
+const MIN_FIELD: usize = 4 + 1 + 4;
 
 fn encode_event(e: &Event) -> Vec<u8> {
     let mut p = Vec::new();
@@ -687,7 +710,7 @@ fn encode_event(e: &Event) -> Vec<u8> {
 fn decode_event(p: &mut Reader<'_>) -> Result<Event, TraceError> {
     let seq = p.take_u64()?;
     let name = p.take_str()?;
-    let n_fields = p.take_u32()? as usize;
+    let n_fields = p.take_count(MIN_FIELD, "event field")?;
     let mut fields = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
         let fname = p.take_str()?;
@@ -744,6 +767,21 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Reads the count of a list whose items occupy at least `min_item`
+    /// bytes each and rejects it unless the bytes left could hold that
+    /// many, so no allocation is sized from a count the payload cannot
+    /// back.
+    fn take_count(&mut self, min_item: usize, what: &str) -> Result<usize, TraceError> {
+        let count = self.take_u32()? as usize;
+        if count > self.remaining() / min_item {
+            return Err(TraceError::Format(format!(
+                "{what} count {count} cannot fit in the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     fn take_str(&mut self) -> Result<String, TraceError> {
         let len = self.take_u32()? as usize;
         let bytes = self.take(len)?;
@@ -767,13 +805,19 @@ mod tests {
         assert!(rle_encode(&noisy).is_none());
     }
 
-    #[test]
-    fn v1_traces_stay_readable() {
-        // A v1 trace is byte-for-byte a v2 trace with version = 1 and
-        // the worker-pool size in the CONFIG slot that now holds the
-        // shard count. Forge one from a v2 serialisation and check the
-        // worker count lands in `shards`.
-        let trace = Trace {
+    const TRAILER_LEN: usize = 1 + 4 + 8;
+
+    /// Appends the trailer record a writer would: the content is then
+    /// intact as far as the reader's first pass can tell.
+    fn sealed(mut content: Vec<u8>) -> Vec<u8> {
+        let mut hasher = ContentHasher::new();
+        hasher.update(&content);
+        push_record(&mut content, TAG_TRAILER, &hasher.finish().to_le_bytes());
+        content
+    }
+
+    fn tiny_trace() -> Trace {
+        Trace {
             serve: ServeConfig {
                 shards: 3,
                 ..ServeConfig::default()
@@ -789,35 +833,90 @@ mod tests {
             }]],
             outputs: RecordedOutputs::default(),
             events: Vec::new(),
-        };
-        let mut bytes = trace.to_bytes();
-        const TRAILER_LEN: usize = 1 + 4 + 8;
-        bytes.truncate(bytes.len() - TRAILER_LEN);
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let mut hasher = ContentHasher::new();
-        hasher.update(&bytes);
-        let hash = hasher.finish();
-        bytes.push(TAG_TRAILER);
-        bytes.extend_from_slice(&8u32.to_le_bytes());
-        bytes.extend_from_slice(&hash.to_le_bytes());
+        }
+    }
 
-        let decoded = Trace::from_bytes(&bytes).expect("v1 trace decodes");
+    #[test]
+    fn v1_traces_stay_readable() {
+        // A v1 trace is byte-for-byte a v2 trace with version = 1 and
+        // the worker-pool size in the CONFIG slot that now holds the
+        // shard count. Forge one from a v2 serialisation and check the
+        // worker count lands in `shards`.
+        let mut content = tiny_trace().to_bytes();
+        content.truncate(content.len() - TRAILER_LEN);
+        content[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let decoded = Trace::from_bytes(&sealed(content.clone())).expect("v1 trace decodes");
         assert_eq!(decoded.serve.shards, 3);
         assert_eq!(decoded.streams.len(), 1);
 
         // Future versions stay a typed error.
-        let mut future = trace.to_bytes();
-        future.truncate(future.len() - TRAILER_LEN);
-        future[4..8].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
-        let mut hasher = ContentHasher::new();
-        hasher.update(&future);
-        let hash = hasher.finish();
-        future.push(TAG_TRAILER);
-        future.extend_from_slice(&8u32.to_le_bytes());
-        future.extend_from_slice(&hash.to_le_bytes());
+        content[4..8].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            Trace::from_bytes(&future),
+            Trace::from_bytes(&sealed(content)),
             Err(TraceError::UnsupportedVersion(v)) if v == TRACE_VERSION + 1
+        ));
+    }
+
+    /// A trace holding the one record `tag | payload`, validly sealed.
+    fn one_record(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut content = MAGIC.to_vec();
+        content.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+        push_record(&mut content, tag, payload);
+        sealed(content)
+    }
+
+    fn format_error(bytes: &[u8]) -> String {
+        match Trace::from_bytes(bytes) {
+            Err(TraceError::Format(m)) => m,
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_counts_in_a_sealed_trace_are_typed_errors() {
+        // The trailer hash is valid in every case, so the second pass
+        // trusts the content; each count below would size an allocation
+        // of 4–240 GB (abort) or overflow a capacity (panic).
+        let huge = u32::MAX.to_le_bytes();
+
+        // CONFIG ends `… | n_weathers | one code per weather | n_streams`.
+        let config = encode_config(&tiny_trace());
+        let end = config.len();
+        let mut weathers = config.clone();
+        weathers[end - 9..end - 5].copy_from_slice(&huge);
+        assert!(format_error(&one_record(TAG_CONFIG, &weathers)).contains("weather count"));
+        let mut streams = config;
+        streams[end - 4..].copy_from_slice(&huge);
+        assert!(format_error(&one_record(TAG_CONFIG, &streams)).contains("stream count"));
+
+        // EVENT: seq, empty name, then the field count.
+        let mut event = vec![0u8; 8 + 4];
+        event.extend_from_slice(&huge);
+        assert!(format_error(&one_record(TAG_EVENT, &event)).contains("event field count"));
+
+        // FRAME: stream, index, arrival, w, h, encoding, pixels.
+        let frame = |w: u32, h: u32, enc: u8, pixels: &[u8]| {
+            let mut p = vec![0u8; 4 + 4 + 8];
+            p.extend_from_slice(&w.to_le_bytes());
+            p.extend_from_slice(&h.to_le_bytes());
+            p.push(enc);
+            p.extend_from_slice(pixels);
+            one_record(TAG_FRAME, &p)
+        };
+        for bytes in [
+            frame(u32::MAX, u32::MAX, ENC_RLE, &[255, 0]),
+            frame(1 << 16, 1 << 16, ENC_RLE, &[255, 0]),
+            frame(u32::MAX, u32::MAX, ENC_RAW, &[0; 4]),
+            frame(0, 0, ENC_RAW, &[]),
+        ] {
+            assert!(bytes.len() < 64);
+            assert!(format_error(&bytes).contains("cannot come from"));
+        }
+        // The bound is tight: one full run is a valid 255-pixel frame.
+        let ok = frame(255, 1, ENC_RLE, &[255, 7]);
+        assert!(matches!(
+            Trace::from_bytes(&ok),
+            Err(TraceError::Format(m)) if m.contains("missing CONFIG")
         ));
     }
 

@@ -2,12 +2,12 @@
 //!
 //! One function per table/figure of Sec. V, each returning a typed report
 //! whose `Display` implementation prints the same rows the paper
-//! tabulates. The Criterion benches in `crates/bench` call these and add
-//! wall-clock measurements of the latency-sensitive inner pieces; the
-//! runnable examples call them for human-readable output.
+//! tabulates. `examples/paper_tables.rs` calls these at the default
+//! scale to regenerate `EXPERIMENTS.md`; the other runnable examples
+//! call them at smoke scale.
 //!
 //! Every harness takes an [`ExperimentConfig`] so tests can run scaled-
-//! down versions of the same code path the full benches exercise.
+//! down versions of the same code path the full-scale run exercises.
 
 use crate::framework::{SafeCross, SafeCrossConfig};
 use crate::throughput::{throughput_study, ThroughputReport};
@@ -328,7 +328,7 @@ impl fmt::Display for ArchitectureResult {
 
 /// Experiment E4 (Table IV): SlowFast vs C3D vs TSN, trained on the
 /// daytime 8:1:1 train split and evaluated on the held-out split *plus*
-/// a freshly generated daytime evaluation set — the scaled-down bench
+/// a freshly generated daytime evaluation set — the scaled-down dataset
 /// needs the larger n to resolve the architectures' true error rates.
 pub fn table4_architectures(data: &Dataset, cfg: &ExperimentConfig) -> ArchitectureResult {
     let mut rng = TensorRng::seed_from(cfg.seed);
@@ -470,9 +470,9 @@ pub fn table7_throughput(
 }
 
 /// Experiment E7 with telemetry enabled: the same study, returning the
-/// registry [`Snapshot`] alongside the report so benches and downstream
-/// tooling can export per-stage latency distributions and switch events
-/// next to the throughput numbers.
+/// registry [`Snapshot`] alongside the report so `paper_tables` and
+/// downstream tooling can export per-stage latency distributions and
+/// switch events next to the throughput numbers.
 pub fn table7_throughput_instrumented(
     models: &HashMap<Weather, SlowFastLite>,
     cfg: &ExperimentConfig,
@@ -532,8 +532,8 @@ fn blind_zone_test_set(cfg: &ExperimentConfig) -> Dataset {
 mod tests {
     use super::*;
 
-    /// One smoke-test pass through every harness; the full-scale runs
-    /// live in the benches.
+    /// One smoke-test pass through every harness; the full-scale run
+    /// is `examples/paper_tables.rs`.
     #[test]
     fn all_experiments_run_end_to_end_at_smoke_scale() {
         let cfg = ExperimentConfig::smoke_test();

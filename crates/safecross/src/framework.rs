@@ -748,17 +748,10 @@ impl SafeCross {
         &self.verdicts
     }
 
-    /// Every model swap performed so far, oldest first, with the frame
-    /// index it was attributed to and the per-phase latency breakdown.
-    ///
-    /// This clones the whole log; prefer
-    /// [`SafeCross::with_switch_log`] when a borrowed view is enough.
-    pub fn switch_log(&self) -> Vec<SwitchRecord> {
-        self.scene_stage.switcher.switch_log()
-    }
-
-    /// Runs `f` over a borrowed view of the switch log, oldest first,
-    /// without cloning any record.
+    /// Runs `f` over a borrowed view of the switch log — every model
+    /// swap performed so far, oldest first, with the frame index it was
+    /// attributed to and the per-phase latency breakdown — without
+    /// cloning any record.
     pub fn with_switch_log<R>(&self, f: impl FnOnce(&[SwitchRecord]) -> R) -> R {
         self.scene_stage.switcher.with_switch_log(f)
     }
@@ -930,13 +923,14 @@ mod tests {
         assert_eq!(sc.current_scene(), Weather::Snow);
         // The switch log recorded daytime (initial) then snow, with the
         // snow switch attributed to a real frame index.
-        let log = sc.switch_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].model, "daytime");
-        assert_eq!(log[0].frame, 0);
-        assert_eq!(log[1].model, "snow");
-        assert!(log[1].frame > 0);
-        assert!(log[1].breakdown.transmit_ms > 0.0);
+        sc.with_switch_log(|log| {
+            assert_eq!(log.len(), 2);
+            assert_eq!(log[0].model, "daytime");
+            assert_eq!(log[0].frame, 0);
+            assert_eq!(log[1].model, "snow");
+            assert!(log[1].frame > 0);
+            assert!(log[1].breakdown.transmit_ms > 0.0);
+        });
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl FrameSource for BoxedSource {
 }
 
 /// Pre-rendered frames delivered as fast as the shard will take them —
-/// the flood shape benches and lossless equivalence runs use.
+/// the flood shape `e2e-bench` and the lossless equivalence runs use.
 #[derive(Debug)]
 pub struct VecSource {
     frames: VecDeque<GrayFrame>,

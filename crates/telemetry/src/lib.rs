@@ -27,8 +27,8 @@
 //! A registry created with [`Registry::disabled`] hands out inert
 //! handles: every update is a branch on a creation-time flag, and timers
 //! skip the `Instant::now` calls entirely, so uninstrumented runs pay
-//! almost nothing. This is how the pipeline bench measures the
-//! instrumentation overhead itself.
+//! almost nothing. This is how `e2e-bench` measures the instrumentation
+//! overhead itself (`telemetry.overhead_share`).
 //!
 //! ## Example
 //!

@@ -46,7 +46,7 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as JSON lines: one object per metric and
-    /// per event, so `BENCH_*.json`-style trajectory files can append
+    /// per event, so a trajectory file can append
     /// snapshots without a JSON parser on either side.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();

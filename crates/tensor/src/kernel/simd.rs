@@ -107,11 +107,6 @@ impl Isa {
         }
     }
 
-    /// Whether this is a vector instruction set (false for scalar).
-    pub fn is_simd(self) -> bool {
-        self != Isa::Scalar
-    }
-
     /// Clamps a requested instruction set to what the host supports:
     /// scalar is always honoured, a supported SIMD request is honoured,
     /// and an unsupported one falls back to [`Isa::detect`].
@@ -842,7 +837,6 @@ mod tests {
         }
         assert_eq!(Isa::parse("AVX2"), Some(Isa::Avx2));
         assert_eq!(Isa::parse("sse9"), None);
-        assert!(!Isa::Scalar.is_simd());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Everything here operates on CPU-resident [`GrayFrame`]s and is fully
 //! deterministic, which is what lets the detection-method comparison
-//! (paper Table II / Fig. 8) run as an ordinary Criterion bench.
+//! (paper Table II / Fig. 8) run as an ordinary seeded program.
 //!
 //! ## Example
 //!

@@ -171,9 +171,7 @@ fn main() {
     let handles = fleet.handles();
     let promoted = handles[1]
         .session(&fleet)
-        .switch_log()
-        .iter()
-        .any(|r| r.model.contains('#'));
+        .with_switch_log(|log| log.iter().any(|r| r.model.contains('#')));
     println!(
         "challenger activated through the switcher on stream 1: {}",
         if promoted { "yes" } else { "no (still queued)" }

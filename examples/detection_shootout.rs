@@ -3,8 +3,9 @@
 //! Compares background subtraction, sparse and dense optical flow, and
 //! the YOLO-lite grid detector on a scripted blind-area scene and prints
 //! per-method timing, hit/miss, and false-positive rates. The full-size
-//! run lives in `cargo bench --bench table2_detection`; this example uses
-//! the small YOLO profile so it finishes quickly even in debug builds.
+//! run is `cargo run --release --example paper_tables -- table2`; this
+//! example uses the small YOLO profile so it finishes quickly even in
+//! debug builds.
 //!
 //! Run with: `cargo run --release --example detection_shootout`
 
@@ -40,5 +41,5 @@ fn main() {
     println!(
         "\npaper Table II: BGS 0.74 ms Yes | sparse OF 6.43 ms No | dense OF 224.20 ms Yes | YOLOv3 256.40 ms No"
     );
-    println!("(the bench uses the paper-size YOLO profile for faithful timing ratios)");
+    println!("(`paper_tables table2` uses the paper-size YOLO profile for faithful timing ratios)");
 }

@@ -137,9 +137,11 @@ fn worker_death_before_every_batch_changes_no_output_bit() {
             chaos_handles[s].verdicts(&chaotic),
             "stream {s} verdicts diverged under worker death"
         );
-        let expected = ref_handles[s].session(&reference).switch_log();
-        let got = chaos_handles[s].session(&chaotic).switch_log();
-        assert_eq!(expected, got, "stream {s} switch log diverged under worker death");
+        ref_handles[s].session(&reference).with_switch_log(|expected| {
+            chaos_handles[s].session(&chaotic).with_switch_log(|got| {
+                assert_eq!(expected, got, "stream {s} switch log diverged under worker death");
+            });
+        });
     }
 }
 

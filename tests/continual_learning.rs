@@ -195,9 +195,10 @@ fn distribution_shift_is_harvested_adapted_and_promoted() {
     let store = learning.model_store();
     assert!(store.contains(&binding), "bound challenger missing from store");
     let handles = learning.handles();
-    let promoted_log = handles[1].session(&learning).switch_log();
     assert!(
-        promoted_log.iter().any(|r| r.model.contains('#')),
+        handles[1]
+            .session(&learning)
+            .with_switch_log(|log| log.iter().any(|r| r.model.contains('#'))),
         "no challenger activation in the promoted stream's switch log"
     );
 
@@ -211,8 +212,8 @@ fn distribution_shift_is_harvested_adapted_and_promoted() {
             "stream {s} verdicts diverged under a learner that never touched it"
         );
         assert_eq!(
-            switch_key(&ref_handles[s].session(&reference).switch_log()),
-            switch_key(&handles[s].session(&learning).switch_log()),
+            ref_handles[s].session(&reference).with_switch_log(switch_key),
+            handles[s].session(&learning).with_switch_log(switch_key),
             "stream {s} switch log diverged under a learner that never touched it"
         );
     }

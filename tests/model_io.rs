@@ -3,9 +3,7 @@
 
 use safecross_dataset::{DatasetSpec, SegmentGenerator};
 use safecross_modelswitch::{simulate_switch, GpuSpec, ModelDesc, SwitchStrategy};
-use safecross_nn::{
-    load_grouped, load_tensors, save_grouped, save_tensors, Mode, V1_COMPAT_GROUP,
-};
+use safecross_nn::{load_grouped, save_grouped, Mode};
 use safecross_tensor::TensorRng;
 use safecross_videoclass::{train, SlowFastLite, TrainConfig, VideoClassifier};
 
@@ -36,11 +34,11 @@ fn trained_model() -> (SlowFastLite, safecross_dataset::Dataset) {
 fn save_load_roundtrip_preserves_behaviour() {
     let (mut model, data) = trained_model();
     let path = std::env::temp_dir().join(format!("safecross_weights_{}.scnn", std::process::id()));
-    save_tensors(&path, &model.state_dict()).expect("save");
+    save_grouped(&path, model.name(), &model.state_groups(), &[]).expect("save");
 
     let mut rng = TensorRng::seed_from(77); // different init
     let mut restored = SlowFastLite::new(2, &mut rng);
-    let state = load_tensors(&path).expect("load");
+    let (_, state, _) = load_grouped(&path).expect("load");
     restored.load_state_dict(&state);
     std::fs::remove_file(&path).ok();
 
@@ -76,50 +74,22 @@ fn buffer_bytes(model: &SlowFastLite) -> usize {
 }
 
 #[test]
-fn v1_checkpoints_read_back_through_the_v2_loader() {
-    // Files written by the original flat `save_tensors` (format v1) must
-    // stay readable forever: the v2 loader presents them as a single
-    // compat group holding every entry, bit-identical.
-    let (model, _) = trained_model();
-    let path = std::env::temp_dir().join(format!("safecross_v1_compat_{}.scnn", std::process::id()));
-    let state = model.state_dict();
-    save_tensors(&path, &state).expect("save v1");
-
-    let (manifest, entries) = load_grouped(&path).expect("v2 loader reads v1");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(manifest.groups.len(), 1, "v1 file maps to one group");
-    assert_eq!(manifest.groups[0].name, V1_COMPAT_GROUP);
-    assert_eq!(manifest.groups[0].params.len(), state.len());
-    assert_eq!(entries.len(), state.len());
-    for ((sn, st), (ln, lt)) in state.iter().zip(&entries) {
-        assert_eq!(sn, ln);
-        assert_eq!(st.dims(), lt.dims());
-        let same = st
-            .data()
-            .iter()
-            .zip(lt.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "entry {sn} not bit-identical after v1->v2 read");
-    }
-}
-
-#[test]
-fn grouped_checkpoints_roundtrip_through_both_loaders() {
-    // A v2 grouped save must read back through `load_grouped` (manifest
-    // intact) and through the flat `load_tensors` view.
+fn grouped_checkpoints_roundtrip_bit_identically() {
+    // A grouped save must read back with its manifest intact and with
+    // entries that restore the model's behaviour bit for bit.
     let (mut model, data) = trained_model();
-    let path = std::env::temp_dir().join(format!("safecross_v2_groups_{}.scnn", std::process::id()));
+    let path = std::env::temp_dir().join(format!("safecross_groups_{}.scnn", std::process::id()));
     let groups = model.state_groups();
-    let manifest = save_grouped(&path, model.name(), &groups).expect("save v2");
+    let manifest = save_grouped(&path, model.name(), &groups, &[]).expect("save");
     assert_eq!(
         manifest.groups.iter().map(|g| g.name.as_str()).collect::<Vec<_>>(),
         ["fast1", "fast2", "slow1", "slow2", "head"],
     );
 
-    let (read_manifest, _) = load_grouped(&path).expect("load v2");
-    assert_eq!(read_manifest, manifest);
-    let flat = load_tensors(&path).expect("flat view of v2");
+    let (read_manifest, flat, sidecar) = load_grouped(&path).expect("load");
     std::fs::remove_file(&path).ok();
+    assert_eq!(read_manifest, manifest);
+    assert!(sidecar.is_empty());
     let mut restored = SlowFastLite::new(2, &mut TensorRng::seed_from(123));
     restored.load_state_dict(&flat);
     let (clip, _) = data.batch(&[0, 1]);

@@ -208,9 +208,11 @@ fn every_shard_count_is_bit_identical_to_the_reference_executor() {
                 s.session(&sharded).frames_seen(),
                 "stream {i} frame count diverged at {shards} shards"
             );
-            let want = r.session(&reference).switch_log();
-            let got = s.session(&sharded).switch_log();
-            assert_eq!(want, got, "stream {i} switch log diverged at {shards} shards");
+            r.session(&reference).with_switch_log(|want| {
+                s.session(&sharded).with_switch_log(|got| {
+                    assert_eq!(want, got, "stream {i} switch log diverged at {shards} shards");
+                });
+            });
         }
     }
 }
