@@ -178,14 +178,6 @@ where
 /// share blobs with the checkpoints already in the store — so a fleet
 /// keeping daytime/rain/snow plus few-shot-adapted variants pays only
 /// for the groups that actually changed.
-///
-/// The checkpoint is also calibrated for int8 serving: per-channel
-/// scales are computed from the adapted weights and the quantized
-/// sidecar registered beside the f32 groups
-/// ([`ModelRegistry::quantize_model`]), so a switcher running at
-/// [`safecross_tensor::Precision::Int8`] can pin it immediately.
-/// Quantization is deterministic in the weight bits, so identical
-/// checkpoints dedup their sidecars exactly like their f32 blobs.
 pub fn adapt_checkpoint<M>(
     meta: &M,
     support: &(Tensor, Vec<usize>),
@@ -199,7 +191,6 @@ where
 {
     let adapted = adapt(meta, support, steps, lr);
     let manifest = store.register_model(name, &adapted.state_groups());
-    store.quantize_model(name);
     (adapted, manifest)
 }
 
@@ -365,20 +356,6 @@ mod tests {
             Some(as_map(&live)),
             "adaptation should move some weights"
         );
-        // The checkpoint was calibrated for int8 serving on the way in:
-        // every rank>=2 weight has a per-channel-quantized sidecar entry.
-        assert!(store.has_quantized("rain_adapted"));
-        let qdict = store.qstate_dict("rain_adapted").expect("sidecar");
-        let expected: Vec<String> = live
-            .iter()
-            .filter(|(_, t)| t.shape().ndim() >= 2)
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut got: Vec<String> = qdict.iter().map(|(n, _)| n.clone()).collect();
-        got.sort();
-        let mut expected = expected;
-        expected.sort();
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -746,18 +746,20 @@ mod tests {
             let clip = sample_clip(&mut rng);
             observe_clip(&learner, 0, seq, &clip, 0.5);
         }
+        let before = (learner.store.stored_bytes(), learner.store.unique_groups());
         learner.train_once();
         assert_eq!(learner.stats().promotions_queued, 1);
         let promos = learner.take_promotions(0, 1);
         assert_eq!(promos.len(), 1);
         assert!(learner.store.contains(&promos[0].challenger));
-        // The trainer calibrates every challenger for int8 serving as
-        // part of registration, and retiring it retires the sidecar.
-        assert!(learner.store.has_quantized(&promos[0].challenger));
-        assert!(learner.store.quantized_bytes() > 0);
+        assert!(learner.store.stored_bytes() > before.0);
         learner.promotion_result(&promos[0], PromotionOutcome::RolledBack);
         assert!(!learner.store.contains(&promos[0].challenger));
-        assert!(!learner.store.has_quantized(&promos[0].challenger));
+        // Retiring the challenger frees everything it brought.
+        assert_eq!(
+            (learner.store.stored_bytes(), learner.store.unique_groups()),
+            before
+        );
         assert_eq!(learner.binding(0, Weather::Rain), Weather::Rain.label());
         let records = learner.records();
         assert_eq!(records.len(), 1);

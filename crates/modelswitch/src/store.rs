@@ -21,7 +21,7 @@
 use crate::model_desc::{LayerDesc, ModelDesc};
 use safecross_nn::{manifest_for, ModelManifest};
 use safecross_telemetry::{Counter, Gauge, Registry};
-use safecross_tensor::{ContentHasher, QTensor, Tensor};
+use safecross_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -45,71 +45,6 @@ impl Blob {
     fn bytes(&self) -> usize {
         self.data.len() * 4
     }
-}
-
-/// One content-addressed int8 sidecar: a checkpoint's quantizable
-/// weights as `(qualified name, QTensor)` pairs in state-dict order.
-/// Deterministic quantization means two checkpoints with bit-identical
-/// f32 weights produce bit-identical sidecars, so sidecars deduplicate
-/// across scene models exactly like the f32 blobs do.
-#[derive(Debug)]
-struct QBlob {
-    data: Arc<Vec<(String, QTensor)>>,
-    refs: usize,
-}
-
-impl QBlob {
-    /// i8 payload plus the f32 scale vectors (names excluded).
-    fn bytes(&self) -> usize {
-        self.data
-            .iter()
-            .map(|(_, q)| q.len() + q.scales().len() * 4)
-            .sum()
-    }
-}
-
-/// The shared int8 activation layout a switcher pins when a stream asks
-/// for `Precision::Int8`: the sidecar tensors behind a per-checkpoint
-/// `Arc`, so the store can tell "cached only" (strong count 1) from
-/// "held by a switcher" when choosing eviction victims.
-#[derive(Debug)]
-pub(crate) struct ResidentQLayout {
-    /// `(qualified name, quantized tensor)` per quantizable weight,
-    /// state-dict order; shared with the store's sidecar blob.
-    pub tensors: Arc<Vec<(String, QTensor)>>,
-}
-
-/// Content hash of an int8 sidecar: names, dims, scale bits and i8
-/// bytes, order sensitive. Routed through the workspace's shared FNV-1a
-/// ([`safecross_tensor::blob`]); collisions are resolved by byte
-/// comparison at registration, mirroring the f32 path.
-fn qcontent_hash(tensors: &[(String, QTensor)]) -> u64 {
-    let mut h = ContentHasher::new();
-    for (name, q) in tensors {
-        h.update_u64(name.len() as u64);
-        h.update(name.as_bytes());
-        h.update_u64(q.dims().len() as u64);
-        for &d in q.dims() {
-            h.update_u64(d as u64);
-        }
-        for &s in q.scales() {
-            h.update(&s.to_le_bytes());
-        }
-        for &v in q.data() {
-            h.update(&[v as u8]);
-        }
-    }
-    h.finish()
-}
-
-/// True content equality between a stored sidecar and a candidate — the
-/// collision guard behind sidecar content addressing.
-fn qblob_matches(stored: &[(String, QTensor)], candidate: &[(String, QTensor)]) -> bool {
-    stored.len() == candidate.len()
-        && stored
-            .iter()
-            .zip(candidate)
-            .all(|((an, aq), (bn, bq))| an == bn && aq == bq)
 }
 
 /// Everything a switcher needs to make a checkpoint's weights resident:
@@ -147,13 +82,6 @@ struct StoreInner {
     descs: HashMap<String, (u64, Arc<ModelDesc>)>,
     /// Lazily-built shared activation layouts, invalidated with `descs`.
     layouts: HashMap<String, Arc<ResidentLayout>>,
-    /// Content-addressed int8 sidecars, refcounted like `blobs`.
-    qblobs: HashMap<u64, QBlob>,
-    /// Checkpoint name → sidecar blob key.
-    qmodels: HashMap<String, u64>,
-    /// Lazily-built shared int8 activation layouts, invalidated
-    /// whenever the checkpoint or its sidecar changes.
-    qlayouts: HashMap<String, Arc<ResidentQLayout>>,
     /// LRU eviction state: `stored_bytes` ceiling (None = unbounded),
     /// names never evicted, and a monotone access clock per checkpoint.
     ceiling: Option<usize>,
@@ -172,31 +100,6 @@ impl StoreInner {
 
     fn logical_bytes(&self) -> usize {
         self.models.values().map(ModelManifest::total_bytes).sum()
-    }
-
-    fn quantized_bytes(&self) -> usize {
-        self.qblobs.values().map(QBlob::bytes).sum()
-    }
-
-    /// Drops `name`'s int8 sidecar (if any), releasing the blob when no
-    /// other checkpoint shares it. Stale-proofing: called whenever the
-    /// checkpoint's f32 content changes or the checkpoint goes away, so
-    /// a sidecar can never outlive the weights it was derived from.
-    fn drop_sidecar(&mut self, name: &str) {
-        self.qlayouts.remove(name);
-        if let Some(key) = self.qmodels.remove(name) {
-            let drop_blob = {
-                let blob = self
-                    .qblobs
-                    .get_mut(&key)
-                    .expect("registered sidecar has a blob");
-                blob.refs -= 1;
-                blob.refs == 0
-            };
-            if drop_blob {
-                self.qblobs.remove(&key);
-            }
-        }
     }
 
     fn release_groups(&mut self, manifest: &ModelManifest) {
@@ -249,18 +152,12 @@ impl StoreInner {
                         .get(*n)
                         .is_none_or(|l| Arc::strong_count(l) == 1)
                 })
-                .filter(|n| {
-                    self.qlayouts
-                        .get(*n)
-                        .is_none_or(|l| Arc::strong_count(l) == 1)
-                })
                 .min_by_key(|n| (self.touched.get(*n).copied().unwrap_or(0), (*n).clone()))
                 .cloned();
             let Some(name) = victim else { break };
             let before = self.stored_bytes();
             let manifest = self.models.remove(&name).expect("victim is registered");
             self.release_groups(&manifest);
-            self.drop_sidecar(&name);
             self.descs.remove(&name);
             self.layouts.remove(&name);
             self.touched.remove(&name);
@@ -374,10 +271,6 @@ impl ModelRegistry {
         if old.as_ref() != Some(&manifest) {
             inner.descs.remove(name);
             inner.layouts.remove(name);
-            // The f32 content changed, so any int8 sidecar derived from
-            // the old weights is stale — drop it rather than serve
-            // quantized weights that disagree with the checkpoint.
-            inner.drop_sidecar(name);
         }
         inner.models.insert(name.to_owned(), manifest.clone());
         inner.touch(name);
@@ -392,7 +285,6 @@ impl ModelRegistry {
         let mut inner = self.lock();
         inner.descs.remove(name);
         inner.layouts.remove(name);
-        inner.drop_sidecar(name);
         inner.touched.remove(name);
         inner.pinned.remove(name);
         match inner.models.remove(name) {
@@ -511,109 +403,6 @@ impl ModelRegistry {
             }
         }
         Some(out)
-    }
-
-    /// Derives and stores the int8 sidecar of checkpoint `name` from
-    /// its registered f32 weights: every tensor of rank ≥ 2 (the
-    /// conv/linear weight matrices; biases and batch-norm state stay
-    /// f32) is quantized symmetrically per leading row. Quantization is
-    /// deterministic, so identical checkpoints produce identical —
-    /// therefore deduplicated — sidecars, and a serving replica that
-    /// requantizes locally from the f32 weights reproduces the stored
-    /// sidecar bit-for-bit. Returns `false` when `name` is not
-    /// registered.
-    pub fn quantize_model(&self, name: &str) -> bool {
-        let Some(state) = self.state_dict(name) else {
-            return false;
-        };
-        let tensors: Vec<(String, QTensor)> = state
-            .iter()
-            .filter(|(_, t)| t.dims().len() >= 2)
-            .map(|(n, t)| (n.clone(), QTensor::quantize_rows(t)))
-            .collect();
-        self.register_quantized(name, tensors)
-    }
-
-    /// Stores a pre-built int8 sidecar for checkpoint `name` (e.g. one
-    /// loaded from a weight file), replacing any existing sidecar.
-    /// Content-addressed and refcounted like the f32 groups. Returns
-    /// `false` — and stores nothing — when `name` is not registered,
-    /// since a sidecar without its f32 twin cannot be validated or kept
-    /// in sync.
-    pub fn register_quantized(&self, name: &str, tensors: Vec<(String, QTensor)>) -> bool {
-        let mut inner = self.lock();
-        if !inner.models.contains_key(name) {
-            return false;
-        }
-        inner.drop_sidecar(name);
-        let mut key = qcontent_hash(&tensors);
-        loop {
-            match inner.qblobs.get_mut(&key) {
-                Some(blob) if qblob_matches(&blob.data, &tensors) => {
-                    blob.refs += 1;
-                    break;
-                }
-                Some(_) => {
-                    // FNV collision: probe the next key; lookups always
-                    // go name → key, so correctness is preserved.
-                    key = key.wrapping_add(1);
-                }
-                None => {
-                    inner.qblobs.insert(
-                        key,
-                        QBlob {
-                            data: Arc::new(tensors),
-                            refs: 1,
-                        },
-                    );
-                    break;
-                }
-            }
-        }
-        inner.qmodels.insert(name.to_owned(), key);
-        true
-    }
-
-    /// Whether checkpoint `name` currently has an int8 sidecar.
-    pub fn has_quantized(&self, name: &str) -> bool {
-        self.lock().qmodels.contains_key(name)
-    }
-
-    /// The int8 sidecar of checkpoint `name` as owned tensors, if one
-    /// was stored. Bit-identical to what was registered.
-    pub fn qstate_dict(&self, name: &str) -> Option<Vec<(String, QTensor)>> {
-        let mut inner = self.lock();
-        inner.touch(name);
-        let key = *inner.qmodels.get(name)?;
-        Some(inner.qblobs[&key].data.as_ref().clone())
-    }
-
-    /// Bytes physically held by int8 sidecars (i8 payload + scales,
-    /// each unique sidecar once). Accounted separately from
-    /// [`ModelRegistry::stored_bytes`], which keeps counting only the
-    /// f32 payload the dedup gauges and the eviction ceiling are
-    /// defined over.
-    pub fn quantized_bytes(&self) -> usize {
-        self.lock().quantized_bytes()
-    }
-
-    /// The shared int8 activation layout of checkpoint `name`, for the
-    /// switcher's precision-tagged activation path: built once, then
-    /// served from cache until the checkpoint (or its sidecar) changes.
-    /// `None` when the checkpoint has no sidecar — callers fall back to
-    /// the f32 layout.
-    pub(crate) fn resident_qlayout(&self, name: &str) -> Option<Arc<ResidentQLayout>> {
-        let mut inner = self.lock();
-        inner.touch(name);
-        if let Some(layout) = inner.qlayouts.get(name) {
-            return Some(Arc::clone(layout));
-        }
-        let key = *inner.qmodels.get(name)?;
-        let layout = Arc::new(ResidentQLayout {
-            tensors: Arc::clone(&inner.qblobs[&key].data),
-        });
-        inner.qlayouts.insert(name.to_owned(), Arc::clone(&layout));
-        Some(layout)
     }
 
     /// The shared activation layout of checkpoint `name`, for the
@@ -931,100 +720,6 @@ mod tests {
         assert!(store.contains("only"), "nothing evictable: ceiling exceeded");
         assert!(store.stored_bytes() > 8);
         assert_eq!(store.evictions(), 0);
-    }
-
-    fn weighted_model(head_fill: f32) -> Vec<(String, Vec<(String, Tensor)>)> {
-        vec![(
-            "all".to_owned(),
-            vec![
-                (
-                    "param.0.weight".to_owned(),
-                    Tensor::from_vec((0..12).map(|v| v as f32 * 0.25 - 1.0).collect(), &[3, 4]),
-                ),
-                ("param.1.bias".to_owned(), Tensor::full(&[3], head_fill)),
-            ],
-        )]
-    }
-
-    #[test]
-    fn quantize_model_stores_rank2_weights_only() {
-        let store = ModelRegistry::new();
-        store.register_model("daytime", &weighted_model(0.5));
-        assert!(!store.has_quantized("daytime"));
-        assert!(store.quantize_model("daytime"));
-        assert!(store.has_quantized("daytime"));
-        let sidecar = store.qstate_dict("daytime").expect("sidecar stored");
-        assert_eq!(sidecar.len(), 1, "1-D bias stays f32-only");
-        assert_eq!(sidecar[0].0, "param.0.weight");
-        let direct = QTensor::quantize_rows(&store.state_dict("daytime").unwrap()[0].1);
-        assert_eq!(sidecar[0].1, direct, "stored sidecar is the deterministic quantization");
-        assert!(!store.quantize_model("missing"));
-    }
-
-    #[test]
-    fn identical_sidecars_share_one_qblob() {
-        let store = ModelRegistry::new();
-        // Same weight matrix, different bias: the f32 "all" groups
-        // differ, but the (weight-only) sidecars are identical.
-        store.register_model("a", &weighted_model(1.0));
-        store.register_model("b", &weighted_model(2.0));
-        store.quantize_model("a");
-        store.quantize_model("b");
-        let one = store.quantized_bytes();
-        assert_eq!(one, 12 + 3 * 4, "i8 payload + per-row scales, stored once");
-        assert_eq!(store.qstate_dict("a"), store.qstate_dict("b"));
-        store.remove_model("a");
-        assert_eq!(store.quantized_bytes(), one, "blob still referenced by b");
-        store.remove_model("b");
-        assert_eq!(store.quantized_bytes(), 0, "last reference freed the sidecar");
-    }
-
-    #[test]
-    fn content_change_drops_stale_sidecar() {
-        let store = ModelRegistry::new();
-        store.register_model("m", &weighted_model(1.0));
-        store.quantize_model("m");
-        // Re-register identical content: the sidecar survives.
-        store.register_model("m", &weighted_model(1.0));
-        assert!(store.has_quantized("m"), "bit-identical re-registration keeps sidecar");
-        // Real content change: the sidecar would disagree — gone.
-        store.register_model("m", &weighted_model(9.0));
-        assert!(!store.has_quantized("m"), "stale sidecar dropped");
-        assert_eq!(store.quantized_bytes(), 0);
-        assert!(store.qstate_dict("m").is_none());
-    }
-
-    #[test]
-    fn sidecar_bytes_do_not_disturb_f32_accounting() {
-        let store = ModelRegistry::new();
-        store.register_model("m", &weighted_model(1.0));
-        let (stored, logical) = (store.stored_bytes(), store.logical_bytes());
-        store.quantize_model("m");
-        assert_eq!(store.stored_bytes(), stored, "f32 byte gauge unchanged");
-        assert_eq!(store.logical_bytes(), logical);
-        assert_eq!(store.dedup_bytes(), logical - stored);
-        assert!(store.quantized_bytes() > 0);
-    }
-
-    #[test]
-    fn held_qlayout_protects_checkpoint_from_eviction() {
-        let store = ModelRegistry::new();
-        store.register_model(
-            "active",
-            &[(
-                "ga".to_owned(),
-                vec![("ga.weight".to_owned(), Tensor::full(&[10, 10], 1.0))],
-            )],
-        );
-        store.quantize_model("active");
-        let _held = store.resident_qlayout("active").expect("sidecar stored");
-        store.set_memory_ceiling(Some(500));
-        for i in 0..4 {
-            store.register_model(&format!("gen{i}"), &[group("g", i as f32 + 10.0, 100)]);
-        }
-        assert!(store.contains("active"), "int8-resident checkpoint evicted");
-        assert!(store.has_quantized("active"));
-        assert!(store.evictions() > 0);
     }
 
     #[test]

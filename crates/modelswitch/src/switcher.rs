@@ -4,9 +4,9 @@ use crate::gpu::GpuSpec;
 use crate::memory::{MemoryError, MemoryPool};
 use crate::model_desc::ModelDesc;
 use crate::schedule::{simulate_switch, SwitchReport, SwitchStrategy, TimelineEvent, TimelinePhase};
-use crate::store::{ModelRegistry, ResidentLayout, ResidentQLayout};
+use crate::store::{ModelRegistry, ResidentLayout};
 use safecross_telemetry::{Counter, Histogram, Registry};
-use safecross_tensor::{Precision, QTensor, Tensor};
+use safecross_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -166,11 +166,6 @@ impl fmt::Debug for FaultHookHandle {
 struct ResidentModel {
     name: String,
     layout: Arc<ResidentLayout>,
-    /// The pinned int8 sidecar when the activation ran at
-    /// [`Precision::Int8`] and the store held one; `None` means the
-    /// resident layout is effectively f32 (either by request or because
-    /// no sidecar exists — the fallback keeps serving correct weights).
-    qlayout: Option<Arc<ResidentQLayout>>,
 }
 
 /// A registry of scene models plus the simulated device state. This is
@@ -199,9 +194,6 @@ struct Inner {
     /// (synthetic [`ModelDesc`]s, no weights) works without one.
     store: Option<ModelRegistry>,
     resident: ResidentModel,
-    /// The precision requested for activations; resolved against the
-    /// store's sidecars at switch time (see [`ResidentModel::qlayout`]).
-    precision: Precision,
     /// Chaos seam: consulted once per real switch attempt.
     fault_hook: Option<FaultHookHandle>,
     /// Real switch attempts so far (fuel for deterministic fault plans).
@@ -220,7 +212,6 @@ impl ModelSwitcher {
                 telemetry: None,
                 store: None,
                 resident: ResidentModel::default(),
-                precision: Precision::F32,
                 fault_hook: None,
                 attempts: 0,
             })),
@@ -310,6 +301,15 @@ impl ModelSwitcher {
             .registry
             .insert(name.to_owned(), desc);
         Ok(())
+    }
+
+    /// Drops the switch descriptor registered under `name`, so the name
+    /// is no longer switchable here. Refuses the active model (its pool
+    /// reservation and resident weights hang off the name). Returns
+    /// whether an entry was removed.
+    pub fn unregister(&self, name: &str) -> bool {
+        let mut inner = self.inner.lock().expect("switcher mutex poisoned");
+        inner.active.as_deref() != Some(name) && inner.registry.remove(name).is_some()
     }
 
     /// Registered model names, sorted.
@@ -420,15 +420,6 @@ impl ModelSwitcher {
                 let floats: usize = layout.groups.iter().map(|g| g.len()).sum();
                 inner.resident.name = name.to_owned();
                 inner.resident.layout = layout;
-                // At Int8, additionally pin the checkpoint's quantized
-                // sidecar. A missing sidecar falls back to f32 rather
-                // than failing the switch: correctness over speed.
-                inner.resident.qlayout = match inner.precision {
-                    Precision::Int8 => {
-                        inner.store.as_ref().and_then(|s| s.resident_qlayout(name))
-                    }
-                    Precision::F32 => None,
-                };
                 if let Some(tel) = &inner.telemetry {
                     tel.activate_bytes.add((floats * 4) as u64);
                 }
@@ -439,7 +430,6 @@ impl ModelSwitcher {
                 // model.
                 inner.resident.name.clear();
                 inner.resident.layout = Arc::default();
-                inner.resident.qlayout = None;
             }
         }
         inner.active = Some(name.to_owned());
@@ -480,58 +470,6 @@ impl ModelSwitcher {
     /// How many switches have completed, without cloning the log.
     pub fn switch_count(&self) -> usize {
         self.with_switch_log(|log| log.len())
-    }
-
-    /// Sets the precision future activations should run at, and
-    /// re-resolves the currently resident model against it: raising to
-    /// [`Precision::Int8`] pins the active checkpoint's sidecar if the
-    /// store holds one, dropping back to [`Precision::F32`] unpins it.
-    /// The f32 layout stays resident either way — int8 is an overlay,
-    /// never a replacement.
-    pub fn set_precision(&self, precision: Precision) {
-        let mut inner = self.inner.lock().expect("switcher mutex poisoned");
-        inner.precision = precision;
-        if inner.resident.name.is_empty() {
-            return;
-        }
-        inner.resident.qlayout = match precision {
-            Precision::Int8 => {
-                let name = inner.resident.name.clone();
-                inner.store.as_ref().and_then(|s| s.resident_qlayout(&name))
-            }
-            Precision::F32 => None,
-        };
-    }
-
-    /// The precision requested for activations (what
-    /// [`ModelSwitcher::set_precision`] last set; [`Precision::F32`]
-    /// initially).
-    pub fn precision(&self) -> Precision {
-        self.inner.lock().expect("switcher mutex poisoned").precision
-    }
-
-    /// The *effective* precision of the resident model: `Int8` only
-    /// when an int8 sidecar is actually pinned, `F32` otherwise —
-    /// including the fallback case where int8 was requested but the
-    /// store had no sidecar for the active checkpoint.
-    pub fn resident_precision(&self) -> Precision {
-        let inner = self.inner.lock().expect("switcher mutex poisoned");
-        if inner.resident.qlayout.is_some() {
-            Precision::Int8
-        } else {
-            Precision::F32
-        }
-    }
-
-    /// The resident model's pinned int8 sidecar as a named quantized
-    /// state dictionary, or `None` when the effective precision is f32.
-    pub fn resident_qstate_dict(&self) -> Option<Vec<(String, QTensor)>> {
-        let inner = self.inner.lock().expect("switcher mutex poisoned");
-        inner
-            .resident
-            .qlayout
-            .as_ref()
-            .map(|l| l.tensors.as_ref().clone())
     }
 
     /// The name of the model whose weights are currently resident,
@@ -631,6 +569,20 @@ mod tests {
     fn registered_names_sorted() {
         let s = switcher(SwitchStrategy::PipelinedOptimal);
         assert_eq!(s.registered(), vec!["daytime", "rain", "snow"]);
+    }
+
+    #[test]
+    fn unregister_drops_the_name_but_refuses_the_active_model() {
+        let s = switcher(SwitchStrategy::PipelinedOptimal);
+        s.switch_to("daytime").unwrap();
+        assert!(!s.unregister("daytime"), "the active model stays registered");
+        assert!(s.unregister("snow"));
+        assert!(!s.unregister("snow"), "already gone");
+        assert_eq!(s.registered(), vec!["daytime", "rain"]);
+        assert!(matches!(
+            s.switch_to("snow"),
+            Err(SwitchError::UnknownModel { .. })
+        ));
     }
 
     #[test]
@@ -838,79 +790,6 @@ mod tests {
             }
             other => panic!("expected UnknownModel, got {other:?}"),
         }
-    }
-
-    /// Like `stored_switcher`, but with rank-2 head weights so the
-    /// checkpoints are quantizable (`quantize_model` skips rank-1).
-    fn quantizable_switcher() -> (ModelSwitcher, ModelRegistry) {
-        let store = ModelRegistry::new();
-        let head = |fill: f32| {
-            vec![(
-                "head".to_owned(),
-                vec![("head.weight".to_owned(), Tensor::full(&[4, 8], fill))],
-            )]
-        };
-        store.register_model("daytime", &head(1.5));
-        store.register_model("rain", &head(-3.0));
-        let s = ModelSwitcher::new(
-            GpuSpec::rtx_2080_ti(),
-            1 << 20,
-            SwitchStrategy::PipelinedOptimal,
-        );
-        s.attach_store(&store);
-        s.register_from_store("daytime", 1.0e9).unwrap();
-        s.register_from_store("rain", 1.0e9).unwrap();
-        (s, store)
-    }
-
-    #[test]
-    fn int8_switch_pins_sidecar_and_falls_back_without_one() {
-        let (s, store) = quantizable_switcher();
-        assert!(store.quantize_model("daytime"));
-        // "rain" deliberately has no sidecar.
-        s.set_precision(Precision::Int8);
-        assert_eq!(s.precision(), Precision::Int8);
-        s.switch_to("daytime").unwrap();
-        assert_eq!(s.resident_precision(), Precision::Int8);
-        let qdict = s.resident_qstate_dict().expect("sidecar pinned");
-        assert_eq!(Some(qdict), store.qstate_dict("daytime"));
-        // The f32 layout stays resident alongside the overlay.
-        assert_eq!(
-            s.resident_state_dict(),
-            store.state_dict("daytime"),
-            "int8 activation must not displace the f32 weights"
-        );
-        // No sidecar -> graceful f32 fallback, not a failed switch.
-        s.switch_to("rain").unwrap();
-        assert_eq!(s.resident_precision(), Precision::F32);
-        assert_eq!(s.resident_qstate_dict(), None);
-    }
-
-    #[test]
-    fn set_precision_re_resolves_resident_model() {
-        let (s, store) = quantizable_switcher();
-        store.quantize_model("daytime");
-        s.switch_to("daytime").unwrap();
-        assert_eq!(s.resident_precision(), Precision::F32);
-        s.set_precision(Precision::Int8);
-        assert_eq!(s.resident_precision(), Precision::Int8);
-        assert!(s.resident_qstate_dict().is_some());
-        s.set_precision(Precision::F32);
-        assert_eq!(s.resident_precision(), Precision::F32);
-        assert_eq!(s.resident_qstate_dict(), None);
-    }
-
-    #[test]
-    fn pinned_sidecar_survives_store_eviction() {
-        let (s, store) = quantizable_switcher();
-        store.quantize_model("daytime");
-        s.set_precision(Precision::Int8);
-        s.switch_to("daytime").unwrap();
-        let before = s.resident_qstate_dict().expect("sidecar pinned");
-        // Unregistering the checkpoint must not yank the resident copy.
-        store.remove_model("daytime");
-        assert_eq!(store.qstate_dict("daytime"), None);
-        assert_eq!(s.resident_qstate_dict().as_ref(), Some(&before));
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Weight serialisation: the SafeCross checkpoint format.
 //!
 //! One on-disk layout, magic `"SCNN"` (all integers little-endian): a
-//! *manifest* of layer groups, the f32 tensors in manifest order, then
-//! an *int8 sidecar* — quantized copies
-//! ([`safecross_tensor::QTensor`], symmetric per-leading-row scales) of
-//! whichever weights the writer chose to quantize, possibly none:
+//! *manifest* of layer groups, then the f32 tensors in manifest order:
 //!
 //! ```text
-//! magic "SCNN" | u32 version = 3
+//! magic "SCNN" | u32 version = 4
 //! u32 model-name len | model-name bytes
 //! u32 group count
 //! per group: u32 name len | name bytes
@@ -15,10 +12,6 @@
 //!            | u64 payload bytes | u64 content hash
 //! u32 entry count
 //! per entry: u32 name len | name bytes | u32 ndim | u32 dims... | f32 data...
-//! u32 sidecar count
-//! per quantized tensor: u32 name len | name bytes
-//!                       | u32 ndim | u32 dims...
-//!                       | f32 scales (dims[0] of them) | i8 data...
 //! ```
 //!
 //! The manifest is the contract with `safecross-modelswitch`: each group
@@ -27,27 +20,28 @@
 //! that the model registry uses to deduplicate identical groups across
 //! checkpoints. Transmission payloads in the switch timeline are derived
 //! from these manifest byte counts — not from hand-written descriptors
-//! and not from the total file size. The sidecar only adds the cheaper
-//! int8 copies that precision-aware consumers (the model registry, the
-//! serving fleet) may activate; the f32 entries never depend on it.
+//! and not from the total file size. A checkpoint holds f32 weights
+//! only: int8 weights are derived from them wherever a serving replica
+//! is materialized (`Layer::set_precision`) and are never stored.
 //!
 //! [`save_grouped`] is the only writer and [`load_grouped`] the only
-//! reader. The version word is 3 because two earlier layouts existed (a
-//! flat tensor list, and this layout without the sidecar); no file in
-//! either was ever shipped, so the reader rejects them — like any other
-//! version word — with [`SerializeError::Format`]. The reader treats the
+//! reader. The version word is 4 because three earlier layouts existed
+//! (a flat tensor list, this layout, and this layout followed by a
+//! section of stored int8 copies); no file in any of them was ever
+//! shipped, so the reader rejects them — like any other version word —
+//! with [`SerializeError::Format`]. The reader treats the
 //! file as untrusted: every count is bounded by the bytes left to hold
 //! that many items before anything is allocated for it, and every
 //! extent product is overflow-checked.
 
-use safecross_tensor::{content_hash, QTensor, Tensor};
+use safecross_tensor::{content_hash, Tensor};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SCNN";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Errors produced while reading a weight file.
 #[derive(Debug)]
@@ -153,31 +147,13 @@ fn write_entry(f: &mut File, name: &str, tensor: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
-fn write_qentry(f: &mut File, name: &str, q: &QTensor) -> io::Result<()> {
-    write_str(f, name)?;
-    f.write_all(&(q.dims().len() as u32).to_le_bytes())?;
-    for &d in q.dims() {
-        f.write_all(&(d as u32).to_le_bytes())?;
-    }
-    for &s in q.scales() {
-        f.write_all(&s.to_le_bytes())?;
-    }
-    // i8 → u8 reinterpretation is value-preserving two's complement.
-    let bytes: Vec<u8> = q.data().iter().map(|&v| v as u8).collect();
-    f.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Writes a grouped state dictionary and its int8 sidecar to `path` and
-/// returns the (f32) manifest that was recorded.
+/// Writes a grouped state dictionary to `path` and returns the manifest
+/// that was recorded.
 ///
 /// Groups are written in the given order; within a group, tensors keep
 /// their order. That order is load-bearing: it is the order a
 /// [`ModelSwitcher`](../safecross_modelswitch/struct.ModelSwitcher.html)
-/// activates groups in. `quantized` entries follow the f32 section in
-/// the given order (conventionally the same qualified names as the f32
-/// tensors they shadow, restricted to quantizable weights); pass `&[]`
-/// for a full-precision-only checkpoint.
+/// activates groups in.
 ///
 /// # Errors
 ///
@@ -186,7 +162,6 @@ pub fn save_grouped(
     path: &Path,
     model: &str,
     groups: &[(String, Vec<(String, Tensor)>)],
-    quantized: &[(String, QTensor)],
 ) -> Result<ModelManifest, SerializeError> {
     let manifest = manifest_for(model, groups);
     let mut f = File::create(path)?;
@@ -210,18 +185,14 @@ pub fn save_grouped(
             write_entry(&mut f, name, tensor)?;
         }
     }
-    f.write_all(&(quantized.len() as u32).to_le_bytes())?;
-    for (name, q) in quantized {
-        write_qentry(&mut f, name, q)?;
-    }
     Ok(manifest)
 }
 
 /// Fewest bytes a length-prefixed name can occupy (an empty string is
 /// just its length word); also the size of one recorded dim.
 const WORD: usize = 4;
-/// Fewest bytes a tensor entry, f32 or int8, can occupy: its name's
-/// length word plus its `ndim` word.
+/// Fewest bytes a tensor entry can occupy: its name's length word plus
+/// its `ndim` word.
 const MIN_ENTRY: usize = 2 * WORD;
 /// Fewest bytes a manifest group can occupy: name length word, param
 /// count, payload bytes, content hash.
@@ -311,23 +282,11 @@ impl<'a> Reader<'a> {
         let data = self.take_f32s(Self::checked_len(&dims)?.max(1))?;
         Ok((name, Tensor::from_vec(data, &dims)))
     }
-
-    fn take_qentry(&mut self) -> Result<(String, QTensor), SerializeError> {
-        let name = self.take_str()?;
-        let dims = self.take_dims()?;
-        let Some(&rows) = dims.first() else {
-            return Err(SerializeError::Format("0-d quantized tensor".into()));
-        };
-        let scales = self.take_f32s(rows)?;
-        let len = Self::checked_len(&dims)?;
-        let data: Vec<i8> = self.take(len)?.iter().map(|&b| b as i8).collect();
-        Ok((name, QTensor::from_parts(dims, data, scales)))
-    }
 }
 
-/// A decoded checkpoint: the manifest, the flat f32 entry list in
-/// manifest order, and the int8 sidecar (possibly empty).
-type Checkpoint = (ModelManifest, Vec<(String, Tensor)>, Vec<(String, QTensor)>);
+/// A decoded checkpoint: the manifest and the flat entry list in
+/// manifest order.
+type Checkpoint = (ModelManifest, Vec<(String, Tensor)>);
 
 fn decode(buf: &[u8]) -> Result<Checkpoint, SerializeError> {
     let mut r = Reader { buf, cursor: 0 };
@@ -393,12 +352,7 @@ fn decode(buf: &[u8]) -> Result<Checkpoint, SerializeError> {
             )));
         }
     }
-    let qcount = r.take_count(MIN_ENTRY, "sidecar")?;
-    let mut quantized = Vec::with_capacity(qcount);
-    for _ in 0..qcount {
-        quantized.push(r.take_qentry()?);
-    }
-    Ok((manifest, entries, quantized))
+    Ok((manifest, entries))
 }
 
 /// Reads a checkpoint written by [`save_grouped`], verifying every
@@ -435,7 +389,7 @@ mod tests {
             vec![("w".to_owned(), rng.uniform(dims, -1.0, 1.0))],
         )];
         let path = tmp(name);
-        save_grouped(&path, "m", &groups, &[]).unwrap();
+        save_grouped(&path, "m", &groups).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(path).ok();
         bytes
@@ -477,76 +431,28 @@ mod tests {
             ),
         ];
         let path = tmp("grouped_roundtrip");
-        let written = save_grouped(&path, "daytime", &groups, &[]).unwrap();
+        let written = save_grouped(&path, "daytime", &groups).unwrap();
         assert_eq!(written.model, "daytime");
         assert_eq!(written.total_bytes(), (12 + 4 + 8 + 1) * 4);
-        let (manifest, entries, sidecar) = load_grouped(&path).unwrap();
+        let (manifest, entries) = load_grouped(&path).unwrap();
         assert_eq!(manifest, written);
         let flat: Vec<(String, Tensor)> = groups
             .iter()
             .flat_map(|(_, e)| e.iter().cloned())
             .collect();
         assert_eq!(entries, flat);
-        assert!(sidecar.is_empty());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn sidecar_roundtrips_beside_the_f32_entries() {
-        let mut rng = TensorRng::seed_from(4);
-        let w = rng.uniform(&[3, 6], -1.0, 1.0);
-        let groups = vec![(
-            "head".to_owned(),
-            vec![
-                ("head.weight".to_owned(), w.clone()),
-                ("head.bias".to_owned(), rng.uniform(&[3], -1.0, 1.0)),
-            ],
-        )];
-        let quantized = vec![("head.weight".to_owned(), QTensor::quantize_rows(&w))];
-        let path = tmp("sidecar_roundtrip");
-        let written = save_grouped(&path, "night", &groups, &quantized).unwrap();
-        let (manifest, entries, sidecar) = load_grouped(&path).unwrap();
-        assert_eq!(manifest, written);
-        assert_eq!(manifest, manifest_for("night", &groups), "sidecar never enters the manifest");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].1, w);
-        assert_eq!(sidecar.len(), 1);
-        assert_eq!(sidecar[0].0, "head.weight");
-        assert_eq!(sidecar[0].1, quantized[0].1, "int8 bytes + scales must round-trip");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn other_version_words_are_a_typed_error() {
-        // 1 and 2 are the retired layouts; 4 does not exist yet.
-        for version in [0u32, 1, 2, 4] {
+        // 1, 2 and 3 are the retired layouts; 5 does not exist yet.
+        for version in [0u32, 1, 2, 3, 5] {
             let mut bytes = small_checkpoint("version_word", &[2, 2]);
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             let m = format_error(&bytes);
             assert!(m.contains(&format!("unsupported version {version}")), "{m}");
         }
-    }
-
-    #[test]
-    fn corrupt_sidecar_extents_fail_with_format_error() {
-        // A malicious/corrupt sidecar whose dims product overflows usize
-        // must come back as a Format error, not a multiply panic (debug)
-        // or a wrapped length feeding QTensor's asserts (release).
-        let mut bytes = small_checkpoint("extent_overflow", &[2, 2]);
-        // Replace the empty sidecar with one entry of one row but a
-        // 1 × (2³²−1)³ element extent.
-        bytes.truncate(bytes.len() - 4);
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // sidecar count
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // name len
-        bytes.push(b'q');
-        bytes.extend_from_slice(&4u32.to_le_bytes()); // ndim
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // dims[0]: 1 row
-        for _ in 0..3 {
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        }
-        bytes.extend_from_slice(&1.0f32.to_le_bytes()); // the row's scale
-        let m = format_error(&bytes);
-        assert!(m.contains("overflow"), "{m}");
     }
 
     #[test]
@@ -572,27 +478,20 @@ mod tests {
         entries.extend_from_slice(&huge);
         assert!(format_error(&entries).contains("entry count"));
 
-        // From a real file: the tensor's ndim, then the sidecar count.
-        let valid = small_checkpoint("huge_counts", &[2, 2]);
-        let ndim_at = valid.len() - 4 - 4 * 4 - 2 * 4 - 4; // sidecar, data, dims, ndim
-        assert_eq!(valid[ndim_at..ndim_at + 4], 2u32.to_le_bytes());
-        let mut ndim = valid.clone();
+        // From a real file: the tensor's ndim.
+        let mut ndim = small_checkpoint("huge_counts", &[2, 2]);
+        let ndim_at = ndim.len() - 4 * 4 - 2 * 4 - 4; // data, dims, ndim
+        assert_eq!(ndim[ndim_at..ndim_at + 4], 2u32.to_le_bytes());
         ndim[ndim_at..ndim_at + 4].copy_from_slice(&huge);
         assert!(format_error(&ndim).contains("dim count"));
-
-        let mut sidecar = valid;
-        let at = sidecar.len() - 4;
-        sidecar[at..].copy_from_slice(&huge);
-        assert!(format_error(&sidecar).contains("sidecar count"));
     }
 
     #[test]
     fn corrupted_payload_fails_hash_verification() {
         let mut bytes = small_checkpoint("corrupt", &[8]);
-        // Flip one bit in the last f32 of the payload (the four bytes
-        // after it are the empty sidecar's count).
+        // Flip one bit in the last f32 of the payload.
         let n = bytes.len();
-        bytes[n - 5] ^= 0x01;
+        bytes[n - 1] ^= 0x01;
         let m = format_error(&bytes);
         assert!(m.contains("hash"), "{m}");
     }
@@ -681,8 +580,8 @@ mod proptests {
                 "safecross_nn_prop_{}_{case}",
                 std::process::id()
             ));
-            let written = save_grouped(&path, "prop-model", &groups, &[]).unwrap();
-            let (manifest, entries, _) = load_grouped(&path).unwrap();
+            let written = save_grouped(&path, "prop-model", &groups).unwrap();
+            let (manifest, entries) = load_grouped(&path).unwrap();
             std::fs::remove_file(&path).ok();
 
             prop_assert_eq!(&manifest, &written);

@@ -7,10 +7,9 @@
 //! journal. Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "SCRT" | u32 version = 2
+//! magic "SCRT" | u32 version = 3
 //! records: u8 tag | u32 payload len | payload
-//!   tag 1 CONFIG  (exactly one, first record; v2 records the shard
-//!                  count where v1 recorded the worker-pool size)
+//!   tag 1 CONFIG  (exactly one, first record)
 //!   tag 2 FRAME   stream u32 | index u32 | arrival_us u64
 //!                 | w u32 | h u32 | enc u8 (0 raw, 1 RLE) | pixels
 //!   tag 3 VERDICT stream u32 | class u8 | confidence bits u32
@@ -21,12 +20,12 @@
 //!   tag 0 TRAILER u64 FNV-1a hash of every preceding byte (last record)
 //! ```
 //!
-//! **Old versions stay readable forever**: v2 changed only the
-//! *meaning* of the CONFIG record's first field (the worker-pool size
-//! became the shard count — same byte layout, and replaying a v1 trace
-//! on `shards = workers` is the faithful reproduction), so this reader
-//! accepts v1 and v2 alike and rejects versions it does not know with a
-//! typed error instead of misparsing. The trailer hash makes corruption
+//! The version word is 3: v1 and v2 CONFIG records carried three
+//! scheduler settings (batch linger, priority on/off, priority hold)
+//! that are constants of the serving layer now. No trace in either was
+//! ever checked in, so the reader rejects them — like any version it
+//! does not know — with a typed error instead of misparsing. The
+//! trailer hash makes corruption
 //! — truncation, bit flips, a partial upload out of an RSU — a typed
 //! [`TraceError`], never a panic or a silently wrong replay.
 //!
@@ -50,9 +49,9 @@ use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"SCRT";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 /// Oldest version this reader still decodes.
-pub const MIN_TRACE_VERSION: u32 = 1;
+pub const MIN_TRACE_VERSION: u32 = 3;
 
 const TAG_TRAILER: u8 = 0;
 const TAG_CONFIG: u8 = 1;
@@ -84,7 +83,8 @@ pub enum TraceError {
     },
     /// The bytes are not a SafeCross trace or are structurally invalid.
     Format(String),
-    /// The trace was written by a newer format version.
+    /// The trace was written in a format version this reader does not
+    /// decode — older or newer than [`TRACE_VERSION`].
     UnsupportedVersion(u32),
     /// The trailer hash does not match the content — the trace was
     /// corrupted after it was written.
@@ -108,7 +108,11 @@ impl fmt::Display for TraceError {
             }
             TraceError::Format(m) => write!(f, "invalid trace: {m}"),
             TraceError::UnsupportedVersion(v) => {
-                write!(f, "trace version {v} is newer than this reader (max {TRACE_VERSION})")
+                write!(
+                    f,
+                    "trace version {v} is outside what this reader decodes \
+                     ({MIN_TRACE_VERSION}..={TRACE_VERSION})"
+                )
             }
             TraceError::HashMismatch { expected, computed } => write!(
                 f,
@@ -420,15 +424,12 @@ fn encode_config(trace: &Trace) -> Vec<u8> {
     let sc = &trace.serve;
     p.extend_from_slice(&(sc.shards as u32).to_le_bytes());
     p.extend_from_slice(&(sc.batch_max as u32).to_le_bytes());
-    p.extend_from_slice(&(sc.batch_linger.as_micros() as u64).to_le_bytes());
     p.extend_from_slice(&(sc.queue_capacity as u32).to_le_bytes());
     let deadline_us = sc
         .frame_deadline
         .map_or(u64::MAX, |d| d.as_micros() as u64);
     p.extend_from_slice(&deadline_us.to_le_bytes());
     p.push(sc.shedding as u8);
-    p.push(sc.priority as u8);
-    p.extend_from_slice(&sc.priority_hold.to_le_bytes());
     p.push(sc.telemetry as u8);
     let st = &sc.stream;
     p.extend_from_slice(&(st.frame_width as u32).to_le_bytes());
@@ -454,11 +455,8 @@ fn encode_config(trace: &Trace) -> Vec<u8> {
 }
 
 fn decode_config(p: &mut Reader<'_>) -> Result<(ServeConfig, ModelSpec, usize), TraceError> {
-    // v1 wrote the worker-pool size here; v2 writes the shard count.
-    // Same slot, same meaning for replay: partition width of the run.
     let shards = p.take_u32()? as usize;
     let batch_max = p.take_u32()? as usize;
-    let batch_linger = Duration::from_micros(p.take_u64()?);
     let queue_capacity = p.take_u32()? as usize;
     let deadline_us = p.take_u64()?;
     let frame_deadline = if deadline_us == u64::MAX {
@@ -467,8 +465,6 @@ fn decode_config(p: &mut Reader<'_>) -> Result<(ServeConfig, ModelSpec, usize), 
         Some(Duration::from_micros(deadline_us))
     };
     let shedding = p.take_u8()? != 0;
-    let priority = p.take_u8()? != 0;
-    let priority_hold = p.take_u64()?;
     let telemetry = p.take_u8()? != 0;
     let frame_width = p.take_u32()? as usize;
     let frame_height = p.take_u32()? as usize;
@@ -506,12 +502,9 @@ fn decode_config(p: &mut Reader<'_>) -> Result<(ServeConfig, ModelSpec, usize), 
     let serve = ServeConfig {
         shards,
         batch_max,
-        batch_linger,
         queue_capacity,
         frame_deadline,
         shedding,
-        priority,
-        priority_hold,
         stream,
         telemetry,
     };
@@ -837,24 +830,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_stay_readable() {
-        // A v1 trace is byte-for-byte a v2 trace with version = 1 and
-        // the worker-pool size in the CONFIG slot that now holds the
-        // shard count. Forge one from a v2 serialisation and check the
-        // worker count lands in `shards`.
+    fn other_versions_are_a_typed_error() {
+        // v1 and v2 (CONFIG records with the three retired scheduler
+        // fields) and anything newer: rejected by the version word,
+        // before a single record is parsed.
         let mut content = tiny_trace().to_bytes();
         content.truncate(content.len() - TRAILER_LEN);
-        content[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let decoded = Trace::from_bytes(&sealed(content.clone())).expect("v1 trace decodes");
-        assert_eq!(decoded.serve.shards, 3);
-        assert_eq!(decoded.streams.len(), 1);
-
-        // Future versions stay a typed error.
-        content[4..8].copy_from_slice(&(TRACE_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            Trace::from_bytes(&sealed(content)),
-            Err(TraceError::UnsupportedVersion(v)) if v == TRACE_VERSION + 1
-        ));
+        for version in [1, 2, TRACE_VERSION + 1] {
+            content[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Trace::from_bytes(&sealed(content.clone())),
+                Err(TraceError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     /// A trace holding the one record `tag | payload`, validly sealed.

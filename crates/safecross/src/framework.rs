@@ -301,6 +301,13 @@ impl SceneStage {
             .unwrap_or_else(|| Arc::from(weather.label()))
     }
 
+    /// Whether `name` must stay switchable: a registered scene's base
+    /// label or a checkpoint some scene is currently bound to.
+    fn keeps(&self, name: &str) -> bool {
+        self.registered.iter().any(|w| w.label() == name)
+            || self.names.values().any(|n| n.as_ref() == name)
+    }
+
     /// The scene whose model should run: the detected scene when a model
     /// exists for it, else the daytime fallback, else the first
     /// registered scene.
@@ -635,7 +642,9 @@ impl SafeCross {
     /// scene or `name` is not in the model store;
     /// [`SwitchError::OutOfMemory`] if activation failed — the
     /// switcher's rollback machinery has already restored the previous
-    /// resident model, and no binding is changed.
+    /// resident model, no binding is changed and `name` is not left
+    /// switchable. After a successful rebind the superseded challenger
+    /// (never a base scene label) stops being switchable too.
     pub fn bind_scene_model(&mut self, weather: Weather, name: &str) -> Result<bool, SwitchError> {
         if !self.scene_stage.registered.contains(&weather) {
             return Err(SwitchError::UnknownModel {
@@ -657,13 +666,19 @@ impl SafeCross {
         if self.scene_stage.effective_scene() != Some(weather) {
             return Ok(false);
         }
-        self.scene_stage
-            .switcher
-            .register_from_store(name, SCENE_TOTAL_FLOPS)?;
-        self.scene_stage
-            .switcher
-            .switch_to_at(name, self.frames_seen as u64)?;
-        self.scene_stage.names.insert(weather, Arc::from(name));
+        let stage = &mut self.scene_stage;
+        stage.switcher.register_from_store(name, SCENE_TOTAL_FLOPS)?;
+        if let Err(err) = stage.switcher.switch_to_at(name, self.frames_seen as u64) {
+            if !stage.keeps(name) {
+                stage.switcher.unregister(name);
+            }
+            return Err(err);
+        }
+        if let Some(old) = stage.names.insert(weather, Arc::from(name)) {
+            if !stage.keeps(&old) {
+                stage.switcher.unregister(&old);
+            }
+        }
         // Standalone sessions classify locally: refresh that replica so
         // the local path serves the promoted weights too.
         if let Some(model) = self.classify_stage.models.get_mut(&weather) {
@@ -969,6 +984,39 @@ mod tests {
         }
         assert!(!sc.verdicts().is_empty());
         assert_eq!(sc.verdicts()[0].weather, Weather::Rain);
+    }
+
+    #[test]
+    fn failed_bind_leaves_no_switch_descriptor_behind() {
+        struct AlwaysOom;
+        impl SwitchFaultHook for AlwaysOom {
+            fn inject_oom(&self, _name: &str, _attempt: u64) -> bool {
+                true
+            }
+        }
+        let mut sc = system_with_models();
+        let mut rng = TensorRng::seed_from(3);
+        for name in ["daytime#g1", "daytime#g2"] {
+            sc.model_store()
+                .register_model(name, &SlowFastLite::new(2, &mut rng).state_groups());
+        }
+        let before = sc.scene_stage.switcher.registered();
+
+        sc.set_switch_fault_hook(Arc::new(AlwaysOom));
+        let err = sc.bind_scene_model(Weather::Daytime, "daytime#g1").unwrap_err();
+        assert!(matches!(err, SwitchError::OutOfMemory { .. }), "{err}");
+        assert_eq!(sc.scene_model_name(Weather::Daytime).as_deref(), Some("daytime"));
+        assert_eq!(sc.scene_stage.switcher.registered(), before);
+
+        // A successful rebind drops the superseded challenger, never a
+        // base scene label.
+        sc.clear_switch_fault_hook();
+        assert_eq!(sc.bind_scene_model(Weather::Daytime, "daytime#g1"), Ok(true));
+        assert_eq!(sc.bind_scene_model(Weather::Daytime, "daytime#g2"), Ok(true));
+        assert_eq!(
+            sc.scene_stage.switcher.registered(),
+            ["daytime", "daytime#g2", "rain", "snow"]
+        );
     }
 
     #[test]

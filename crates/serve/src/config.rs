@@ -14,6 +14,14 @@ pub const MAX_SHARDS: usize = 1024;
 /// misconfiguration (use shedding, not buffering, to absorb overload).
 pub const MAX_QUEUE_CAPACITY: usize = 1 << 20;
 
+/// How long an under-full batch may wait for compatible clips before it
+/// is dispatched anyway.
+pub(crate) const BATCH_LINGER: Duration = Duration::from_millis(2);
+
+/// How many further frames a stream stays high-priority after the
+/// danger verdict or model switch that promoted it.
+pub(crate) const PRIORITY_HOLD: u64 = 32;
+
 /// Configuration of a [`FleetServer`](crate::FleetServer).
 ///
 /// Construct via [`ServeConfig::builder`] for build-time validation, or
@@ -32,27 +40,18 @@ pub struct ServeConfig {
     /// Maximum clips per micro-batch; a batch is dispatched as soon as
     /// it reaches this size.
     pub batch_max: usize,
-    /// How long an under-full batch may wait for compatible clips
-    /// before it is dispatched anyway.
-    pub batch_linger: Duration,
     /// Bound of each stream's admission queue. With shedding enabled,
     /// admitting a frame to a full queue drops that queue's *oldest*
     /// frame (freshest-data-wins for a real-time feed).
     pub queue_capacity: usize,
     /// Maximum age a queued frame may reach before the scheduler sheds
-    /// it instead of processing it. `None` disables age shedding.
+    /// it instead of processing it; must exceed the 2 ms batch linger.
+    /// `None` disables age shedding.
     pub frame_deadline: Option<Duration>,
     /// Master switch for load shedding. When `false` the admission
     /// queues grow without bound and no frame is ever dropped — the
     /// lossless mode the equivalence tests run in.
     pub shedding: bool,
-    /// Two-level priority scheduling: streams with a recent danger
-    /// verdict or model switch are serviced ahead of idle ones. When
-    /// `false` every stream is scheduled round-robin.
-    pub priority: bool,
-    /// How many further frames a stream stays high-priority after the
-    /// danger verdict or switch that promoted it.
-    pub priority_hold: u64,
     /// Per-stream session template (frame geometry, VP settings,
     /// segment length, confidence gate).
     pub stream: SafeCrossConfig,
@@ -65,12 +64,9 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 2,
             batch_max: 4,
-            batch_linger: Duration::from_millis(2),
             queue_capacity: 32,
             frame_deadline: None,
             shedding: true,
-            priority: true,
-            priority_hold: 32,
             stream: SafeCrossConfig::default(),
             telemetry: false,
         }
@@ -113,9 +109,9 @@ impl ServeConfig {
             });
         }
         if let Some(deadline) = self.frame_deadline {
-            if self.batch_linger >= deadline {
+            if BATCH_LINGER >= deadline {
                 return Err(ServeError::LingerExceedsDeadline {
-                    linger: self.batch_linger,
+                    linger: BATCH_LINGER,
                     deadline,
                 });
             }
@@ -153,12 +149,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// How long an under-full batch waits for compatible clips.
-    pub fn batch_linger(mut self, linger: Duration) -> Self {
-        self.config.batch_linger = linger;
-        self
-    }
-
     /// Bound of each stream's admission queue.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -174,18 +164,6 @@ impl ServeConfigBuilder {
     /// Enables or disables load shedding.
     pub fn shedding(mut self, shedding: bool) -> Self {
         self.config.shedding = shedding;
-        self
-    }
-
-    /// Enables or disables two-level priority scheduling.
-    pub fn priority(mut self, priority: bool) -> Self {
-        self.config.priority = priority;
-        self
-    }
-
-    /// How many frames a stream stays high-priority after promotion.
-    pub fn priority_hold(mut self, frames: u64) -> Self {
-        self.config.priority_hold = frames;
         self
     }
 
@@ -235,11 +213,11 @@ pub enum ServeError {
         /// The enforced bound.
         max: usize,
     },
-    /// `batch_linger` is at least as long as `frame_deadline`: every
+    /// The batch linger is at least as long as `frame_deadline`: every
     /// under-full batch would out-wait the frames it holds, so the
     /// scheduler would shed everything it lingers on.
     LingerExceedsDeadline {
-        /// The configured linger.
+        /// The fleet's fixed linger.
         linger: Duration,
         /// The configured deadline it must stay under.
         deadline: Duration,
@@ -283,7 +261,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::LingerExceedsDeadline { linger, deadline } => write!(
                 f,
-                "batch_linger ({linger:?}) must be shorter than frame_deadline \
+                "the batch linger ({linger:?}) must be shorter than frame_deadline \
                  ({deadline:?}), or every lingered frame would age out"
             ),
             ServeError::Stream(e) => write!(f, "invalid per-stream configuration: {e}"),
@@ -350,17 +328,15 @@ mod tests {
         );
         assert_eq!(
             ServeConfig::builder()
-                .batch_linger(Duration::from_millis(10))
-                .frame_deadline(Some(Duration::from_millis(10)))
+                .frame_deadline(Some(BATCH_LINGER))
                 .build()
                 .unwrap_err(),
             ServeError::LingerExceedsDeadline {
-                linger: Duration::from_millis(10),
-                deadline: Duration::from_millis(10),
+                linger: BATCH_LINGER,
+                deadline: BATCH_LINGER,
             }
         );
         assert!(ServeConfig::builder()
-            .batch_linger(Duration::from_millis(2))
             .frame_deadline(Some(Duration::from_millis(40)))
             .build()
             .is_ok());

@@ -121,10 +121,11 @@ impl<'a> ShardCompute<'a> {
     /// quantizes its weights *after* they are final, so its calibration
     /// matches the checkpoint it actually serves. Quantization is
     /// deterministic in the weight bits, so every shard's int8 replica
-    /// of one checkpoint is bit-identical to the store's sidecar. A
-    /// promoted checkpoint missing from the store (evicted after its
-    /// last user unpinned it) deterministically falls back to the base
-    /// scene weights. `None` only when `weather` has no shared model.
+    /// of one checkpoint is bit-identical to every other's; these are
+    /// the only int8 weights anywhere — none are stored. A promoted
+    /// checkpoint missing from the store (evicted after its last user
+    /// unpinned it) deterministically falls back to the base scene
+    /// weights. `None` only when `weather` has no shared model.
     fn ensure_replica(
         &mut self,
         name: &Arc<str>,
@@ -278,36 +279,44 @@ mod tests {
         let mut shared = HashMap::new();
         shared.insert(Weather::Rain, base);
         let clip = rng.uniform(&[1, 32, 20, 20], 0.0, 1.0);
-        let job = |model: Arc<str>| Batch {
+        let job = |model: Arc<str>, precision: Precision| Batch {
             weather: Weather::Rain,
             model: Arc::clone(&model),
-            precision: Precision::F32,
+            precision,
             jobs: vec![ClipJob {
                 stream: 0,
                 seq: 0,
                 weather: Weather::Rain,
                 model,
-                precision: Precision::F32,
+                precision,
                 clip: clip.clone(),
             }],
         };
         let mut compute = ShardCompute::new(&shared, store);
-        let base_v = compute.classify(&job(label(Weather::Rain)));
-        let promoted_v = compute.classify(&job(Arc::from("rain#s0g1")));
+        for precision in [Precision::F32, Precision::Int8] {
+            let base_v = compute.classify(&job(label(Weather::Rain), precision));
+            let promoted_v = compute.classify(&job(Arc::from("rain#s0g1"), precision));
 
-        // The challenger replica ran the stored (perturbed) weights.
-        let mut direct_scratch = KernelScratch::new();
-        let direct = classify_with_model(&mut adapted, &clip, Weather::Rain, &mut direct_scratch);
-        assert_eq!(promoted_v[0], direct);
-        assert_ne!(
-            base_v[0].confidence.to_bits(),
-            promoted_v[0].confidence.to_bits(),
-            "perturbed checkpoint produced the base confidence — store weights not loaded"
-        );
+            // The challenger replica ran the stored (perturbed) weights —
+            // at int8, quantized from them, not from the base weights the
+            // replica was cloned with.
+            let mut direct_model = adapted.clone();
+            direct_model.set_precision(precision);
+            let mut direct_scratch = KernelScratch::new();
+            let direct =
+                classify_with_model(&mut direct_model, &clip, Weather::Rain, &mut direct_scratch);
+            assert_eq!(promoted_v[0], direct, "{precision:?}");
+            assert_ne!(
+                base_v[0].confidence.to_bits(),
+                promoted_v[0].confidence.to_bits(),
+                "{precision:?}: perturbed checkpoint produced the base confidence — \
+                 store weights not loaded before the replica was calibrated"
+            );
 
-        // An evicted challenger falls back to the base scene weights.
-        let missing = compute.classify(&job(Arc::from("rain#s0g9")));
-        assert_eq!(missing[0], base_v[0]);
+            // An evicted challenger falls back to the base scene weights.
+            let missing = compute.classify(&job(Arc::from("rain#s0g9"), precision));
+            assert_eq!(missing[0], base_v[0], "{precision:?}");
+        }
     }
 
     #[test]

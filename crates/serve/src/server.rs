@@ -1,7 +1,7 @@
 //! The fleet front: admission, scheduling, and shard orchestration.
 
 use crate::adapt::{HarvestSample, LearnHook, PromotionOutcome};
-use crate::config::{ServeConfig, ServeError};
+use crate::config::{ServeConfig, ServeError, BATCH_LINGER};
 use crate::executor::{Batch, ClipJob, Completion, ExecStats, ShardCompute};
 use crate::fault::{FaultHook, WorkerAction};
 use crate::metrics::{FleetMetrics, ShardMetrics};
@@ -537,7 +537,6 @@ impl FleetServer {
         let mut compute = ShardCompute::new(models, self.model_store.clone());
         let fleet_metrics = &self.fleet_metrics;
         let sessions = &mut self.sessions;
-        let hold = self.config.priority_hold;
         let rounds = feeds.iter().map(Vec::len).max().unwrap_or(0);
         for round in 0..rounds {
             for (i, feed) in feeds.iter().enumerate() {
@@ -547,7 +546,7 @@ impl FleetServer {
                 session.stats.fed += 1;
                 session.stats.admitted += 1;
                 fleet_metrics.admitted.inc();
-                let (seq, mut prep) = session.prepare(frame, hold);
+                let (seq, mut prep) = session.prepare(frame);
                 let raw = match (prep.clip.take(), prep.effective) {
                     (Some(clip), Some(weather)) => {
                         let name = session.model_for(weather);
@@ -557,7 +556,7 @@ impl FleetServer {
                 };
                 session.park(seq, prep, admitted);
                 session.resolve(seq, raw);
-                session.deliver_ready(hold, fleet_metrics, &mut ages);
+                session.deliver_ready(fleet_metrics, &mut ages);
             }
         }
         Ok(self.build_report(start, before, ages, ExecStats::default()))
@@ -966,14 +965,13 @@ impl Shard<'_> {
     }
 
     fn on_completion(&mut self, done: Completion) {
-        let hold = self.config.priority_hold;
         let local = done.stream / self.shard_count;
         let lane = &mut self.streams[local];
         debug_assert_eq!(lane.global, done.stream, "completion routed to wrong shard");
         lane.session.inflight -= 1;
         self.inflight -= 1;
         lane.session.resolve(done.seq, done.raw);
-        lane.session.deliver_ready(hold, self.fleet, &mut self.ages);
+        lane.session.deliver_ready(self.fleet, &mut self.ages);
     }
 
     /// Pulls every frame currently available from this shard's sources
@@ -1046,14 +1044,12 @@ impl Shard<'_> {
         if n == 0 {
             return None;
         }
-        if self.config.priority {
-            for k in 0..n {
-                let i = (self.rr_hot + k) % n;
-                let session = &self.streams[i].session;
-                if session.queue_len() > 0 && session.is_hot() {
-                    self.rr_hot = (i + 1) % n;
-                    return Some(i);
-                }
+        for k in 0..n {
+            let i = (self.rr_hot + k) % n;
+            let session = &self.streams[i].session;
+            if session.queue_len() > 0 && session.is_hot() {
+                self.rr_hot = (i + 1) % n;
+                return Some(i);
             }
         }
         for k in 0..n {
@@ -1067,7 +1063,6 @@ impl Shard<'_> {
     }
 
     fn schedule_one(&mut self, local: usize) {
-        let hold = self.config.priority_hold;
         let lane = &mut self.streams[local];
         let Some(pending) = lane.session.pop_fresh(
             self.config.frame_deadline,
@@ -1076,7 +1071,7 @@ impl Shard<'_> {
         ) else {
             return;
         };
-        let (seq, mut prep) = lane.session.prepare(&pending.frame, hold);
+        let (seq, mut prep) = lane.session.prepare(&pending.frame);
         let dispatch = match (prep.clip.take(), prep.effective) {
             (Some(clip), Some(weather)) if self.models.contains_key(&weather) => {
                 Some((clip, weather, lane.session.model_for(weather)))
@@ -1101,7 +1096,7 @@ impl Shard<'_> {
             }
             None => {
                 lane.session.resolve(seq, None);
-                lane.session.deliver_ready(hold, self.fleet, &mut self.ages);
+                lane.session.deliver_ready(self.fleet, &mut self.ages);
             }
         }
     }
@@ -1138,7 +1133,7 @@ impl Shard<'_> {
         let due: Vec<(Arc<str>, Precision)> = self
             .pending
             .iter()
-            .filter(|(_, g)| force || now.duration_since(g.opened) >= self.config.batch_linger)
+            .filter(|(_, g)| force || now.duration_since(g.opened) >= BATCH_LINGER)
             .map(|(k, _)| (Arc::clone(&k.0), k.1))
             .collect();
         let mut any = false;

@@ -10,6 +10,7 @@
 //! therefore verdict and switch-log bit-identity with a standalone run)
 //! is structural, not locked.
 
+use crate::config::PRIORITY_HOLD;
 use crate::metrics::FleetMetrics;
 use safecross::{FramePrep, SafeCross, Verdict};
 use safecross_tensor::Precision;
@@ -156,7 +157,7 @@ impl StreamSession {
 
     /// Whether this stream is currently scheduled at high priority: a
     /// danger verdict or model switch promoted it for the next
-    /// `priority_hold` frames.
+    /// [`PRIORITY_HOLD`] frames.
     pub(crate) fn is_hot(&self) -> bool {
         self.prepared < self.hot_until
     }
@@ -212,14 +213,14 @@ impl StreamSession {
 
     /// Runs the pre-classification half of the frame path and assigns
     /// the frame its completion sequence number. A scene switch
-    /// promotes the stream to high priority for the next `hold`
-    /// frames.
-    pub(crate) fn prepare(&mut self, frame: &GrayFrame, hold: u64) -> (u64, FramePrep) {
+    /// promotes the stream to high priority for the next
+    /// [`PRIORITY_HOLD`] frames.
+    pub(crate) fn prepare(&mut self, frame: &GrayFrame) -> (u64, FramePrep) {
         let seq = self.prepared;
         self.prepared += 1;
         let prep = self.inner.prepare_frame(frame);
         if prep.scene_switch.is_some() {
-            self.hot_until = self.hot_until.max(seq + 1 + hold);
+            self.hot_until = self.hot_until.max(seq + 1 + PRIORITY_HOLD);
         }
         (seq, prep)
     }
@@ -238,14 +239,9 @@ impl StreamSession {
     /// through the session's own `complete_frame` — so verdict
     /// recording order is identical to a standalone sequential run no
     /// matter how the executor interleaved the batches. Danger verdicts
-    /// promote the stream for `hold` further frames. Observed
+    /// promote the stream for [`PRIORITY_HOLD`] further frames. Observed
     /// admission-to-completion ages (ms) are appended to `ages`.
-    pub(crate) fn deliver_ready(
-        &mut self,
-        hold: u64,
-        fleet: &FleetMetrics,
-        ages: &mut Vec<f64>,
-    ) {
+    pub(crate) fn deliver_ready(&mut self, fleet: &FleetMetrics, ages: &mut Vec<f64>) {
         while let Some(raw) = self.resolved.remove(&self.next_complete) {
             let parked = self
                 .parked
@@ -256,7 +252,7 @@ impl StreamSession {
                 self.stats.verdicts += 1;
                 if v.is_warning() {
                     self.stats.danger_verdicts += 1;
-                    self.hot_until = self.hot_until.max(self.prepared + hold);
+                    self.hot_until = self.hot_until.max(self.prepared + PRIORITY_HOLD);
                 }
             }
             let age_ms = parked.admitted.elapsed().as_secs_f64() * 1e3;

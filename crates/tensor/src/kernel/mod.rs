@@ -22,14 +22,15 @@
 //!    [`register_gemm_observer`]) receive one [`GemmSample`] per GEMM,
 //!    which the orchestrator bridges into `nn.gemm.*` telemetry.
 //!
-//! The thread count comes from [`KernelConfig`]: the
+//! The thread count ([`threads`]) is resolved on first use: the
 //! `SAFECROSS_KERNEL_THREADS` environment variable when set, otherwise
-//! the host's available parallelism. `1` reproduces the exact serial
-//! code path (no worker pool is spun up at all).
+//! the host's available parallelism; [`set_threads`] overrides it. `1`
+//! reproduces the exact serial code path (no worker pool is spun up at
+//! all).
 //!
-//! The instruction set comes from the same config: detected once
-//! ([`Isa::detect`]) unless `SAFECROSS_KERNEL_ISA` or
-//! [`KernelConfig::with_isa`] overrides it. The f32 inner loops in
+//! The instruction set ([`isa`]) is resolved the same way: detected
+//! once ([`Isa::detect`]) unless `SAFECROSS_KERNEL_ISA` or [`set_isa`]
+//! overrides it. The f32 inner loops in
 //! [`simd`] are built so dispatch **never changes result bits** —
 //! vector lanes are independent output elements and multiplies/adds are
 //! never fused — so like the thread count, the ISA is purely a
@@ -79,85 +80,19 @@ fn isa_decode(code: usize) -> Option<Isa> {
     }
 }
 
-/// Kernel-layer execution settings.
-///
-/// ```
-/// use safecross_tensor::kernel::KernelConfig;
-///
-/// let config = KernelConfig::from_env();
-/// assert!(config.threads() >= 1);
-/// KernelConfig::with_threads(2).install();
-/// assert_eq!(safecross_tensor::kernel::threads(), 2);
-/// KernelConfig::with_threads(1).install();
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelConfig {
-    threads: usize,
-    isa: Isa,
-}
-
-impl KernelConfig {
-    /// Resolves the worker count from `SAFECROSS_KERNEL_THREADS` when
-    /// set (clamped to at least 1), else the host's available
-    /// parallelism; and the instruction set from `SAFECROSS_KERNEL_ISA`
-    /// when set (sanitized against host support), else detection.
-    pub fn from_env() -> Self {
-        let threads = std::env::var(KERNEL_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-        let isa = std::env::var(KERNEL_ISA_ENV)
-            .ok()
-            .and_then(|v| Isa::parse(&v))
-            .map_or_else(Isa::detect, Isa::sanitize);
-        KernelConfig { threads, isa }
-    }
-
-    /// A configuration with an explicit worker count (clamped to ≥ 1)
-    /// and the detected instruction set.
-    pub fn with_threads(threads: usize) -> Self {
-        KernelConfig {
-            threads: threads.max(1),
-            isa: Isa::detect(),
-        }
-    }
-
-    /// This configuration with the given instruction set (sanitized
-    /// against host support — forcing scalar always sticks, forcing an
-    /// unsupported SIMD set falls back to detection).
-    pub fn with_isa(self, isa: Isa) -> Self {
-        KernelConfig {
-            isa: isa.sanitize(),
-            ..self
-        }
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured instruction set.
-    pub fn isa(&self) -> Isa {
-        self.isa
-    }
-
-    /// Makes this configuration the process-wide kernel setting.
-    pub fn install(self) {
-        KERNEL_THREADS.store(self.threads, Ordering::Relaxed);
-        KERNEL_ISA.store(isa_encode(self.isa), Ordering::Relaxed);
-    }
-}
-
-/// The process-wide kernel worker count, resolving
-/// [`KernelConfig::from_env`] on first use.
+/// The process-wide kernel worker count. Resolved on first use from
+/// `SAFECROSS_KERNEL_THREADS` when set (values below 1 or unparsable
+/// are ignored), else the host's available parallelism.
 pub fn threads() -> usize {
     let n = KERNEL_THREADS.load(Ordering::Relaxed);
     if n != 0 {
         return n;
     }
-    let resolved = KernelConfig::from_env().threads;
+    let resolved = std::env::var(KERNEL_THREADS_ENV)
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     // Racing first calls resolve to the same value; last store wins.
     KERNEL_THREADS.store(resolved, Ordering::Relaxed);
     resolved
@@ -172,13 +107,17 @@ pub fn set_threads(threads: usize) {
     KERNEL_THREADS.store(threads.max(1), Ordering::Relaxed);
 }
 
-/// The process-wide kernel instruction set, resolving
-/// [`KernelConfig::from_env`] on first use.
+/// The process-wide kernel instruction set. Resolved on first use from
+/// `SAFECROSS_KERNEL_ISA` when set (sanitized against host support),
+/// else detection.
 pub fn isa() -> Isa {
     if let Some(isa) = isa_decode(KERNEL_ISA.load(Ordering::Relaxed)) {
         return isa;
     }
-    let resolved = KernelConfig::from_env().isa;
+    let resolved = std::env::var(KERNEL_ISA_ENV)
+        .ok()
+        .and_then(|v| Isa::parse(&v))
+        .map_or_else(Isa::detect, Isa::sanitize);
     // Racing first calls resolve to the same value; last store wins.
     KERNEL_ISA.store(isa_encode(resolved), Ordering::Relaxed);
     resolved
@@ -829,13 +768,22 @@ mod tests {
 
     #[test]
     fn config_roundtrip() {
-        let c = KernelConfig::with_threads(0);
-        assert_eq!(c.threads(), 1);
-        assert!(KernelConfig::from_env().threads() >= 1);
+        // Other tests in this binary flip both globals while this one
+        // runs (to valid values only), so every assertion here holds
+        // under any interleaving.
+        let (before, detected) = (threads(), Isa::detect());
+        assert!(before >= 1);
+        set_threads(0);
+        assert!(threads() >= 1, "a zero worker count is clamped");
+        set_threads(before);
         // The ISA knob sanitizes: scalar always sticks, the detected
-        // set round-trips, anything else falls back to detection.
-        assert_eq!(c.with_isa(Isa::Scalar).isa(), Isa::Scalar);
-        assert_eq!(c.with_isa(Isa::detect()).isa(), Isa::detect());
+        // set round-trips, and nothing else is ever observable.
+        let isa_before = isa();
+        for requested in [Isa::Scalar, Isa::Avx2, Isa::Neon, detected] {
+            set_isa(requested);
+            assert!([Isa::Scalar, detected].contains(&isa()), "{requested:?}");
+        }
+        set_isa(isa_before);
     }
 
     #[test]

@@ -54,7 +54,7 @@
 /// The instruction set a kernel dispatches to.
 ///
 /// Detected once per process (see [`crate::kernel::isa`]) and
-/// overridable through [`crate::kernel::KernelConfig`] or the
+/// overridable through [`crate::kernel::set_isa`] or the
 /// `SAFECROSS_KERNEL_ISA` environment variable. Forcing
 /// [`Isa::Scalar`] on a SIMD-capable host is always safe and changes no
 /// f32 result bits; forcing a SIMD variant the host lacks falls back to

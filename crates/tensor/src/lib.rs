@@ -46,7 +46,7 @@ mod tensor;
 
 pub use blob::{content_hash, fnv1a, ContentHasher};
 pub use conv::{col2vol, vol2col_into, Conv3dGeom};
-pub use kernel::{Isa, KernelConfig, KernelScratch};
+pub use kernel::{Isa, KernelScratch};
 pub use qtensor::{Precision, QTensor};
 pub use random::TensorRng;
 pub use shape::{Shape, MAX_RANK};

@@ -15,9 +15,9 @@
 //! `out[i, j] = s_a[i] · s_b[j] · Σ_p qa[i, p] · qb[j, p]`.
 //!
 //! Everything here is deterministic: quantizing the same f32 bits
-//! always yields the same i8 bits and scales, which is what lets a
-//! serving replica requantize locally and still match a stored int8
-//! sidecar bit-for-bit.
+//! always yields the same i8 bits and scales, which is what lets every
+//! serving replica quantize its own copy of a checkpoint and still agree
+//! with every other replica bit-for-bit.
 
 use crate::kernel::{self, simd};
 use crate::Tensor;
@@ -112,20 +112,6 @@ impl QTensor {
                 *q = quantize_value(v, inv);
             }
         }
-        QTensor { dims, data, scales }
-    }
-
-    /// Reassembles a quantized tensor from its serialized parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data length disagrees with the dimensions or the
-    /// scale count disagrees with the leading dimension.
-    pub fn from_parts(dims: Vec<usize>, data: Vec<i8>, scales: Vec<f32>) -> QTensor {
-        assert!(!dims.is_empty(), "quantized tensors are at least 1-D");
-        let len: usize = dims.iter().product();
-        assert_eq!(data.len(), len, "quantized data length mismatch");
-        assert_eq!(scales.len(), dims[0], "one scale per leading-axis row");
         QTensor { dims, data, scales }
     }
 
@@ -447,15 +433,6 @@ mod tests {
         let a = QTensor::quantize_rows(&t);
         let b = QTensor::quantize_rows(&t.clone());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_parts_roundtrip() {
-        let mut rng = TensorRng::seed_from(5);
-        let t = rng.uniform(&[2, 3, 4], -1.0, 1.0);
-        let q = QTensor::quantize_rows(&t);
-        let r = QTensor::from_parts(q.dims().to_vec(), q.data().to_vec(), q.scales().to_vec());
-        assert_eq!(q, r);
     }
 
     /// Reference: dequantize then float matmul in exact i32-equivalent

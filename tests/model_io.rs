@@ -34,11 +34,11 @@ fn trained_model() -> (SlowFastLite, safecross_dataset::Dataset) {
 fn save_load_roundtrip_preserves_behaviour() {
     let (mut model, data) = trained_model();
     let path = std::env::temp_dir().join(format!("safecross_weights_{}.scnn", std::process::id()));
-    save_grouped(&path, model.name(), &model.state_groups(), &[]).expect("save");
+    save_grouped(&path, model.name(), &model.state_groups()).expect("save");
 
     let mut rng = TensorRng::seed_from(77); // different init
     let mut restored = SlowFastLite::new(2, &mut rng);
-    let (_, state, _) = load_grouped(&path).expect("load");
+    let (_, state) = load_grouped(&path).expect("load");
     restored.load_state_dict(&state);
     std::fs::remove_file(&path).ok();
 
@@ -80,16 +80,15 @@ fn grouped_checkpoints_roundtrip_bit_identically() {
     let (mut model, data) = trained_model();
     let path = std::env::temp_dir().join(format!("safecross_groups_{}.scnn", std::process::id()));
     let groups = model.state_groups();
-    let manifest = save_grouped(&path, model.name(), &groups, &[]).expect("save");
+    let manifest = save_grouped(&path, model.name(), &groups).expect("save");
     assert_eq!(
         manifest.groups.iter().map(|g| g.name.as_str()).collect::<Vec<_>>(),
         ["fast1", "fast2", "slow1", "slow2", "head"],
     );
 
-    let (read_manifest, flat, sidecar) = load_grouped(&path).expect("load");
+    let (read_manifest, flat) = load_grouped(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(read_manifest, manifest);
-    assert!(sidecar.is_empty());
     let mut restored = SlowFastLite::new(2, &mut TensorRng::seed_from(123));
     restored.load_state_dict(&flat);
     let (clip, _) = data.batch(&[0, 1]);
