@@ -1,4 +1,6 @@
-//! Property-based tests on the scene detector's voting invariants.
+//! Property-based tests on the scene detector's voting invariants and
+//! on the bit-identity of the feature sweeps with their per-pixel
+//! reference.
 //!
 //! The detector debounces per-frame weather votes over a sliding
 //! window. Whatever frames it sees — including adversarial noise — its
@@ -18,7 +20,51 @@ fn arb_frame() -> impl Strategy<Value = GrayFrame> {
     })
 }
 
+/// Frames of every shape the scan has an edge case for — 1×N, N×1, 2×2,
+/// wider than one scan chunk — either uniform noise or a flat ambient
+/// level with sparse bright pixels (what rain and snow look like).
+fn arb_scene_frame() -> impl Strategy<Value = GrayFrame> {
+    (1usize..90, 1usize..14, any::<bool>(), 0u8..200).prop_flat_map(|(w, h, flat, ambient)| {
+        proptest::collection::vec(any::<u8>(), w * h).prop_map(move |mut px| {
+            if flat {
+                for p in &mut px {
+                    *p = if *p < 10 { 190 + *p * 7 } else { ambient + *p % 16 };
+                }
+            }
+            GrayFrame::from_pixels(w, h, px)
+        })
+    })
+}
+
+fn feature_bits(f: SceneFeatures) -> [u32; 4] {
+    [f.mean, f.stddev, f.speckle, f.streaks].map(f32::to_bits)
+}
+
 proptest! {
+    #[test]
+    fn measure_matches_the_per_pixel_reference_bit_for_bit(frame in arb_scene_frame()) {
+        prop_assert_eq!(
+            feature_bits(SceneFeatures::measure(&frame)),
+            feature_bits(SceneFeatures::measure_reference(&frame))
+        );
+    }
+
+    #[test]
+    fn measure_matches_the_reference_past_the_exact_integer_range(
+        depth in 1u8..40,
+        noise in proptest::collection::vec(any::<u8>(), 400 * 200),
+    ) {
+        // 400 × 200 pixels near 255 sum past 2²⁴, where the f32 fold
+        // starts rounding and `mean` has to fall back to it; `depth` 1 is
+        // the all-255 frame.
+        let px = noise.into_iter().map(|r| 255 - r % depth).collect();
+        let frame = GrayFrame::from_pixels(400, 200, px);
+        prop_assert_eq!(
+            feature_bits(SceneFeatures::measure(&frame)),
+            feature_bits(SceneFeatures::measure_reference(&frame))
+        );
+    }
+
     #[test]
     fn detector_never_agrees_on_an_unobserved_weather(
         frames in proptest::collection::vec(arb_frame(), 1..40),

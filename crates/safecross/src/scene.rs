@@ -23,33 +23,61 @@ pub struct SceneFeatures {
     pub streaks: f32,
 }
 
+/// Pixels per skip test of the neighbour scan: long enough that the
+/// test is one vector max, short enough that a lone streak does not drag
+/// a whole row through the per-pixel branch.
+const SCAN_CHUNK: usize = 32;
+
 impl SceneFeatures {
     /// Measures a frame.
+    ///
+    /// Three sweeps, each as cheap as bit-identity with the original
+    /// per-pixel formulation allows: the mean once (integer where exact,
+    /// see [`GrayFrame::mean`]); the variance about it as the
+    /// left-to-right `f32` fold of `(p − mean)²` that
+    /// [`GrayFrame::stddev`] performs — every add rounds, so the order is
+    /// part of the result and the fold stays serial; and the neighbour
+    /// scan over row slices, skipping every stretch with no bright pixel
+    /// in it.
     pub fn measure(frame: &GrayFrame) -> Self {
-        let mean = frame.mean();
-        let stddev = frame.stddev();
         let (w, h) = (frame.width(), frame.height());
-        let bright = (mean + 2.5 * stddev).min(235.0) as i32;
+        let pixels = frame.pixels();
+        let n = pixels.len() as f32;
+        let mean = frame.mean();
+        let squares = pixels.iter().map(|&p| {
+            let d = p as f32 - mean;
+            d * d
+        });
+        let stddev = (squares.sum::<f32>() / n).sqrt();
+
+        // In [0, 235], so the cast truncates exactly as a wider integer would.
+        let bright = (mean + 2.5 * stddev).min(235.0) as u8;
         let mut speckle = 0usize;
         let mut streaks = 0usize;
-        for y in 1..h - 1 {
-            for x in 1..w - 1 {
-                let v = frame.at(x, y) as i32;
-                if v < bright {
-                    continue;
-                }
-                let above = frame.at(x, y - 1) as i32 >= bright;
-                let below = frame.at(x, y + 1) as i32 >= bright;
-                let left = frame.at(x - 1, y) as i32 >= bright;
-                let right = frame.at(x + 1, y) as i32 >= bright;
-                if !above && !below && !left && !right {
-                    speckle += 1;
-                } else if (above || below) && !left && !right {
-                    streaks += 1;
+        if w > 2 {
+            for y in 1..h - 1 {
+                let (above, rest) = pixels[(y - 1) * w..(y + 2) * w].split_at(w);
+                let (row, below) = rest.split_at(w);
+                for start in (1..w - 1).step_by(SCAN_CHUNK) {
+                    let end = (start + SCAN_CHUNK).min(w - 1);
+                    if row[start..end].iter().fold(0, |m, &p| m.max(p)) < bright {
+                        continue;
+                    }
+                    for x in start..end {
+                        if row[x] < bright {
+                            continue;
+                        }
+                        let (up, down) = (above[x] >= bright, below[x] >= bright);
+                        let (left, right) = (row[x - 1] >= bright, row[x + 1] >= bright);
+                        if !up && !down && !left && !right {
+                            speckle += 1;
+                        } else if (up || down) && !left && !right {
+                            streaks += 1;
+                        }
+                    }
                 }
             }
         }
-        let n = (w * h) as f32;
         SceneFeatures {
             mean,
             stddev,
@@ -108,19 +136,68 @@ impl SceneDetector {
             self.window.pop_front();
         }
         self.window.push_back(vote);
-        let winner = Weather::ALL
+        // On a tie the last of `Weather::ALL` wins — without effect on
+        // the outcome, since only a strict majority can switch.
+        let (winner, count) = Weather::ALL
             .iter()
-            .copied()
-            .max_by_key(|w| self.window.iter().filter(|&&v| v == *w).count())
+            .map(|&w| (w, self.window.iter().filter(|&&v| v == w).count()))
+            .max_by_key(|&(_, count)| count)
             .expect("ALL is non-empty");
         // Require a strict majority of the full window to switch.
-        let count = self.window.iter().filter(|&&v| v == winner).count();
         if winner != self.current && self.window.len() == self.capacity && 2 * count > self.capacity
         {
             self.current = winner;
             Some(winner)
         } else {
             None
+        }
+    }
+}
+
+#[cfg(test)]
+impl SceneFeatures {
+    /// The per-pixel body `measure` replaced (with `GrayFrame::stddev`
+    /// folding the mean a second and third time), kept as the reference
+    /// the proptests compare against bit for bit.
+    pub(crate) fn measure_reference(frame: &GrayFrame) -> Self {
+        let pixels = frame.pixels();
+        let n = pixels.len() as f32;
+        let mean = pixels.iter().map(|&p| p as f32).sum::<f32>() / n;
+        let stddev = (pixels
+            .iter()
+            .map(|&p| {
+                let d = p as f32 - mean;
+                d * d
+            })
+            .sum::<f32>()
+            / n)
+            .sqrt();
+        let (w, h) = (frame.width(), frame.height());
+        let bright = (mean + 2.5 * stddev).min(235.0) as i32;
+        let mut speckle = 0usize;
+        let mut streaks = 0usize;
+        for y in 1..h - 1 {
+            for x in 1..w - 1 {
+                let v = frame.at(x, y) as i32;
+                if v < bright {
+                    continue;
+                }
+                let above = frame.at(x, y - 1) as i32 >= bright;
+                let below = frame.at(x, y + 1) as i32 >= bright;
+                let left = frame.at(x - 1, y) as i32 >= bright;
+                let right = frame.at(x + 1, y) as i32 >= bright;
+                if !above && !below && !left && !right {
+                    speckle += 1;
+                } else if (above || below) && !left && !right {
+                    streaks += 1;
+                }
+            }
+        }
+        SceneFeatures {
+            mean,
+            stddev,
+            speckle: speckle as f32 / n,
+            streaks: streaks as f32 / n,
         }
     }
 }
@@ -171,6 +248,25 @@ mod tests {
         assert_eq!(det.observe(&snow), Some(Weather::Snow));
         assert_eq!(det.observe(&snow), None);
         assert_eq!(det.current(), Weather::Snow);
+    }
+
+    #[test]
+    fn tied_votes_never_switch() {
+        // The winner of a tie is whichever weather `max_by_key` reaches
+        // last, but no tie is a strict majority: however the votes are
+        // split, the agreed scene only moves on more than half a window.
+        let frames = [
+            rendered_frame(Weather::Daytime, 5),
+            rendered_frame(Weather::Rain, 6),
+            rendered_frame(Weather::Snow, 4),
+        ];
+        for (a, b) in [(1, 2), (2, 1), (0, 1), (0, 2)] {
+            let mut det = SceneDetector::new(4);
+            for i in [a, a, b, b, a, a, b, b] {
+                assert_eq!(det.observe(&frames[i]), None, "tie between {a} and {b}");
+            }
+            assert_eq!(det.current(), Weather::Daytime);
+        }
     }
 
     #[test]

@@ -468,12 +468,22 @@ where
     std::thread::scope(|s| {
         let mut chunks = out.chunks_mut(chunk).enumerate();
         let first = chunks.next();
-        for (w, chunk_out) in chunks {
-            let body = &body;
-            s.spawn(move || body(chunk_out, w * chunk));
-        }
+        let workers: Vec<_> = chunks
+            .map(|(w, chunk_out)| {
+                let body = &body;
+                s.spawn(move || body(chunk_out, w * chunk))
+            })
+            .collect();
         if let Some((_, chunk_out)) = first {
             body(chunk_out, 0);
+        }
+        // Join rather than let the scope's end wait: that only waits for
+        // the closures to return, and a worker still tearing down holds
+        // its malloc arena. A serving shard that exits before such a
+        // straggler gets a different arena on the next run and the freed
+        // frames in its old one stay resident (DESIGN §9).
+        for worker in workers {
+            worker.join().expect("GEMM worker panicked");
         }
     });
 }

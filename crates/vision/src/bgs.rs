@@ -64,6 +64,91 @@ impl BackgroundSubtractor {
     ///
     /// Panics if the frame size differs from the configured size.
     pub fn apply(&mut self, frame: &GrayFrame) -> BinaryFrame {
+        let mut mask = BinaryFrame::new(self.width, self.height);
+        self.apply_into(frame, &mut mask);
+        mask
+    }
+
+    /// [`BackgroundSubtractor::apply`] into a caller-owned mask of the
+    /// configured size, every word of which is overwritten.
+    pub(crate) fn apply_into(&mut self, frame: &GrayFrame, mask: &mut BinaryFrame) {
+        assert_eq!(frame.width(), self.width, "frame width mismatch");
+        assert_eq!(frame.height(), self.height, "frame height mismatch");
+        assert!(
+            (mask.width(), mask.height()) == (self.width, self.height),
+            "mask size mismatch"
+        );
+        if !self.initialised {
+            for (b, &p) in self.background.iter_mut().zip(frame.pixels()) {
+                *b = p as f32;
+            }
+            self.initialised = true;
+            mask.clear();
+            return;
+        }
+        let (alpha, threshold) = (self.alpha, self.threshold);
+        let rows = frame
+            .pixels()
+            .chunks_exact(self.width)
+            .zip(self.background.chunks_exact_mut(self.width));
+        for (words, (pixels, background)) in mask.rows_mut().zip(rows) {
+            // One word per 64 pixels; a short last chunk leaves the
+            // padding bits zero.
+            let chunks = pixels.chunks(64).zip(background.chunks_mut(64));
+            for (word, (pixels, background)) in words.iter_mut().zip(chunks) {
+                // The arithmetic first, into one flag byte per pixel (a
+                // loop the compiler vectorises), the packing after.
+                let mut foreground = [0u8; 64];
+                for ((flag, &p), b) in foreground.iter_mut().zip(pixels).zip(background) {
+                    let step = p as f32 - *b;
+                    *flag = u8::from(step.abs() > threshold);
+                    *b += alpha * step;
+                }
+                *word = pack_flags(&foreground);
+            }
+        }
+    }
+
+    /// A snapshot of the current background estimate.
+    pub fn background(&self) -> GrayFrame {
+        let pixels = self
+            .background
+            .iter()
+            .map(|&b| b.round().clamp(0.0, 255.0) as u8)
+            .collect();
+        GrayFrame::from_pixels(self.width, self.height, pixels)
+    }
+
+    /// Whether the model has seen at least one frame.
+    pub fn is_initialised(&self) -> bool {
+        self.initialised
+    }
+
+    /// Resets the model (e.g. after a scene change).
+    pub fn reset(&mut self) {
+        self.initialised = false;
+        self.background.iter_mut().for_each(|b| *b = 0.0);
+    }
+}
+
+/// Packs 64 flag bytes (each 0 or 1) into a word, flag `i` to bit `i`.
+/// Eight flags at a time: read as a little-endian `u64` they sit at bits
+/// 0, 8, …, 56, and the multiplication adds shifted copies that land
+/// flag `j` on bit `56 + j` — no two partial products meet on one bit, so
+/// nothing carries — leaving the packed byte on top.
+fn pack_flags(flags: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    flags.chunks_exact(8).enumerate().fold(0, |word, (i, eight)| {
+        let lanes = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+        word | (lanes.wrapping_mul(GATHER) >> 56) << (8 * i)
+    })
+}
+
+#[cfg(test)]
+impl BackgroundSubtractor {
+    /// The per-pixel sweep `apply_into` replaced, kept as the reference
+    /// the proptests compare against.
+    pub(crate) fn apply_reference(&mut self, frame: &GrayFrame) -> BinaryFrame {
         assert_eq!(frame.width(), self.width, "frame width mismatch");
         assert_eq!(frame.height(), self.height, "frame height mismatch");
         let mut mask = BinaryFrame::new(self.width, self.height);
@@ -87,27 +172,6 @@ impl BackgroundSubtractor {
             *b += self.alpha * (p as f32 - *b);
         }
         mask
-    }
-
-    /// A snapshot of the current background estimate.
-    pub fn background(&self) -> GrayFrame {
-        let pixels = self
-            .background
-            .iter()
-            .map(|&b| b.round().clamp(0.0, 255.0) as u8)
-            .collect();
-        GrayFrame::from_pixels(self.width, self.height, pixels)
-    }
-
-    /// Whether the model has seen at least one frame.
-    pub fn is_initialised(&self) -> bool {
-        self.initialised
-    }
-
-    /// Resets the model (e.g. after a scene change).
-    pub fn reset(&mut self) {
-        self.initialised = false;
-        self.background.iter_mut().for_each(|b| *b = 0.0);
     }
 }
 

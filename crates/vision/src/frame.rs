@@ -102,8 +102,30 @@ impl GrayFrame {
     }
 
     /// Mean intensity (useful as a cheap day/weather statistic).
+    ///
+    /// The result is, bit for bit, the left-to-right `f32` sum of the
+    /// pixels divided by their count — the renderer's contrast step and
+    /// the scene vote both hang off these bits. An `f32` add of integers
+    /// is exact while the running sum stays ≤ 2²⁴, so that prefix of the
+    /// fold is done in integers (any order, so it vectorises) and only
+    /// what is left — nothing, for a 320×240 frame with mean < 218 — is
+    /// folded serially in `f32`.
     pub fn mean(&self) -> f32 {
-        self.pixels.iter().map(|&p| p as f32).sum::<f32>() / self.pixels.len() as f32
+        const CHUNK: usize = 256;
+        const EXACT: u32 = 1 << 24;
+        let mut sum = 0u32;
+        let mut done = 0;
+        for chunk in self.pixels.chunks(CHUNK) {
+            if sum + (CHUNK as u32) * 255 > EXACT {
+                break;
+            }
+            sum += chunk.iter().map(|&p| u32::from(p)).sum::<u32>();
+            done += chunk.len();
+        }
+        let total = self.pixels[done..]
+            .iter()
+            .fold(sum as f32, |acc, &p| acc + p as f32);
+        total / self.pixels.len() as f32
     }
 
     /// Intensity standard deviation.
@@ -189,13 +211,21 @@ impl fmt::Debug for GrayFrame {
     }
 }
 
-/// A dense 1-bit mask, the output of background subtraction and
-/// morphology.
+/// A 1-bit mask, the output of background subtraction and morphology,
+/// packed 64 pixels to a `u64`.
+///
+/// Rows are padded to a whole number of words (`stride = ⌈width / 64⌉`);
+/// pixel `(x, y)` is bit `x % 64` of word `y * stride + x / 64`. The
+/// padding bits past `width` in each row's last word are **always
+/// zero**. Everything else leans on that invariant: the derived `Eq`
+/// compares pixels only, [`BinaryFrame::count`] is a plain popcount, and
+/// the word-wide morphology sees "outside the frame" as background
+/// without a single bounds test.
 #[derive(Clone, PartialEq, Eq)]
 pub struct BinaryFrame {
     width: usize,
     height: usize,
-    bits: Vec<bool>,
+    words: Vec<u64>,
 }
 
 impl BinaryFrame {
@@ -209,7 +239,7 @@ impl BinaryFrame {
         BinaryFrame {
             width,
             height,
-            bits: vec![false; width * height],
+            words: vec![0; width.div_ceil(64) * height],
         }
     }
 
@@ -230,7 +260,7 @@ impl BinaryFrame {
     /// Panics when out of bounds.
     pub fn get(&self, x: usize, y: usize) -> bool {
         assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
-        self.bits[y * self.width + x]
+        self.words[y * self.stride() + x / 64] >> (x % 64) & 1 != 0
     }
 
     /// Sets the bit at `(x, y)`.
@@ -240,36 +270,80 @@ impl BinaryFrame {
     /// Panics when out of bounds.
     pub fn put(&mut self, x: usize, y: usize, value: bool) {
         assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
-        self.bits[y * self.width + x] = value;
+        let index = y * self.stride() + x / 64;
+        let word = &mut self.words[index];
+        *word = *word & !(1 << (x % 64)) | u64::from(value) << (x % 64);
     }
 
     /// Number of set bits.
     pub fn count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Fraction of set bits in a rectangular region (clamped to bounds).
     pub fn density_in(&self, x0: usize, y0: usize, w: usize, h: usize) -> f32 {
-        let x1 = (x0 + w).min(self.width);
-        let y1 = (y0 + h).min(self.height);
+        let x1 = x0.saturating_add(w).min(self.width);
+        let y1 = y0.saturating_add(h).min(self.height);
         if x0 >= x1 || y0 >= y1 {
             return 0.0;
         }
-        let mut set = 0usize;
-        for y in y0..y1 {
-            for x in x0..x1 {
-                if self.get(x, y) {
-                    set += 1;
-                }
-            }
-        }
-        set as f32 / ((x1 - x0) * (y1 - y0)) as f32
+        self.count_in(x0, x1, y0, y1) as f32 / ((x1 - x0) * (y1 - y0)) as f32
     }
 
     /// Converts to a grayscale frame (255 for set bits).
     pub fn to_gray(&self) -> GrayFrame {
-        let pixels = self.bits.iter().map(|&b| if b { 255 } else { 0 }).collect();
+        let pixels = (0..self.height)
+            .flat_map(|y| (0..self.width).map(move |x| if self.get(x, y) { 255 } else { 0 }))
+            .collect();
         GrayFrame::from_pixels(self.width, self.height, pixels)
+    }
+
+    /// Words per row.
+    pub(crate) fn stride(&self) -> usize {
+        self.width.div_ceil(64)
+    }
+
+    /// The valid bits of each row's last word (all ones when `width` is
+    /// a multiple of 64). Whoever writes whole words ANDs the last one
+    /// with this to keep the padding zero.
+    pub(crate) fn tail_mask(&self) -> u64 {
+        !0 >> (self.stride() * 64 - self.width)
+    }
+
+    /// The packed rows, `stride` words each.
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.stride())
+    }
+
+    /// The packed rows, mutably. The caller keeps the padding bits zero.
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
+        let stride = self.stride();
+        self.words.chunks_exact_mut(stride)
+    }
+
+    /// Clears every bit.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Set bits in the non-empty, in-bounds rectangle `[x0, x1) × [y0, y1)`:
+    /// a popcount of each row's word range with the two end words masked.
+    pub(crate) fn count_in(&self, x0: usize, x1: usize, y0: usize, y1: usize) -> usize {
+        debug_assert!(x0 < x1 && x1 <= self.width && y0 < y1 && y1 <= self.height);
+        let (first, last) = (x0 / 64, (x1 - 1) / 64);
+        let first_mask = !0u64 << (x0 % 64);
+        let last_mask = !0u64 >> (63 - (x1 - 1) % 64);
+        let mut set = 0;
+        for row in self.rows().skip(y0).take(y1 - y0) {
+            set += if first == last {
+                (row[first] & first_mask & last_mask).count_ones()
+            } else {
+                (row[first] & first_mask).count_ones()
+                    + row[first + 1..last].iter().map(|w| w.count_ones()).sum::<u32>()
+                    + (row[last] & last_mask).count_ones()
+            } as usize;
+        }
+        set
     }
 }
 

@@ -1,4 +1,17 @@
 //! Mathematical morphology on binary masks.
+//!
+//! A square `(2r+1) × (2r+1)` window is the product of a horizontal and
+//! a vertical run, so erosion and dilation are **separable**: a
+//! horizontal pass (each bit ANDed / ORed with its `r` neighbours on
+//! either side) followed by a vertical pass (each row ANDed / ORed with
+//! the `r` rows above and below) visits exactly the window's pixels. On
+//! the packed [`BinaryFrame`] both passes work a word — 64 pixels — at a
+//! time: horizontal neighbours are the row shifted by `k` bits with the
+//! carry taken from the neighbouring word, vertical neighbours are whole
+//! rows. "Outside the frame is background" needs no test anywhere: the
+//! shifts fill with zeros at the row ends (the padding bits are zero and
+//! a word past the end reads as zero) and a missing row is a row of
+//! zeros, which clears an erosion and adds nothing to a dilation.
 
 use crate::BinaryFrame;
 
@@ -14,55 +27,16 @@ use crate::BinaryFrame;
 /// assert_eq!(erode(&m, 1).count(), 0);
 /// ```
 pub fn erode(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
-    if radius == 0 {
-        return mask.clone();
-    }
-    let (w, h) = (mask.width(), mask.height());
-    let mut out = BinaryFrame::new(w, h);
-    let r = radius as isize;
-    for y in 0..h as isize {
-        'pix: for x in 0..w as isize {
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    let (nx, ny) = (x + dx, y + dy);
-                    if nx < 0 || ny < 0 || nx >= w as isize || ny >= h as isize {
-                        continue 'pix; // border treated as background
-                    }
-                    if !mask.get(nx as usize, ny as usize) {
-                        continue 'pix;
-                    }
-                }
-            }
-            out.put(x as usize, y as usize, true);
-        }
-    }
+    let mut out = mask.clone();
+    erode_in_place(&mut out, radius, &mut BinaryFrame::new(mask.width(), mask.height()));
     out
 }
 
 /// Dilation with a square structuring element of `radius`: a bit is set if
 /// any bit in its window is set.
 pub fn dilate(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
-    if radius == 0 {
-        return mask.clone();
-    }
-    let (w, h) = (mask.width(), mask.height());
-    let mut out = BinaryFrame::new(w, h);
-    let r = radius as isize;
-    for y in 0..h as isize {
-        for x in 0..w as isize {
-            if !mask.get(x as usize, y as usize) {
-                continue;
-            }
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    let (nx, ny) = (x + dx, y + dy);
-                    if nx >= 0 && ny >= 0 && nx < w as isize && ny < h as isize {
-                        out.put(nx as usize, ny as usize, true);
-                    }
-                }
-            }
-        }
-    }
+    let mut out = mask.clone();
+    dilate_in_place(&mut out, radius, &mut BinaryFrame::new(mask.width(), mask.height()));
     out
 }
 
@@ -73,7 +47,158 @@ pub fn dilate(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
 /// by the dilation, while large structures (vehicles) survive with their
 /// shape approximately restored.
 pub fn opening(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
-    dilate(&erode(mask, radius), radius)
+    let mut out = mask.clone();
+    opening_in_place(&mut out, radius, &mut BinaryFrame::new(mask.width(), mask.height()));
+    out
+}
+
+/// [`opening`] of `mask` in place. `tmp` is a same-sized mask whose
+/// content is irrelevant before and unspecified after; with it the
+/// opening allocates nothing.
+pub(crate) fn opening_in_place(mask: &mut BinaryFrame, radius: usize, tmp: &mut BinaryFrame) {
+    erode_in_place(mask, radius, tmp);
+    dilate_in_place(mask, radius, tmp);
+}
+
+fn erode_in_place(mask: &mut BinaryFrame, radius: usize, tmp: &mut BinaryFrame) {
+    separable(mask, radius, tmp, |a, b| a & b);
+}
+
+fn dilate_in_place(mask: &mut BinaryFrame, radius: usize, tmp: &mut BinaryFrame) {
+    separable(mask, radius, tmp, |a, b| a | b);
+}
+
+/// Horizontal pass `mask → tmp`, vertical pass `tmp → mask`, folding
+/// neighbours with `op` (AND erodes, OR dilates). Whatever lies outside
+/// the frame enters the fold as zeros.
+fn separable(
+    mask: &mut BinaryFrame,
+    radius: usize,
+    tmp: &mut BinaryFrame,
+    op: impl Fn(u64, u64) -> u64,
+) {
+    assert!(
+        (tmp.width(), tmp.height()) == (mask.width(), mask.height()),
+        "scratch mask size mismatch"
+    );
+    let (stride, height, tail) = (mask.stride(), mask.height(), mask.tail_mask());
+    // A neighbour further away than the frame is wide (tall) is outside
+    // it for every pixel, so larger radii add nothing new.
+    let (rx, ry) = (radius.min(mask.width()), radius.min(height));
+
+    for (src, dst) in mask.rows().zip(tmp.rows_mut()) {
+        for (i, out) in dst.iter_mut().enumerate() {
+            let mut acc = src[i];
+            for k in 1..=rx {
+                acc = op(acc, op(shifted_up(src, i, k), shifted_down(src, i, k)));
+            }
+            *out = acc;
+        }
+        // An OR can carry set bits into the padding; an AND cannot.
+        dst[stride - 1] &= tail;
+    }
+
+    for (y, dst) in mask.rows_mut().enumerate() {
+        let (lo, hi) = (y.saturating_sub(ry), (y + ry).min(height - 1));
+        let mut rows = tmp.rows().skip(lo).take(hi - lo + 1);
+        dst.copy_from_slice(rows.next().expect("row y itself is in the frame"));
+        for row in rows {
+            for (d, &s) in dst.iter_mut().zip(row) {
+                *d = op(*d, s);
+            }
+        }
+        if hi - lo < 2 * ry {
+            // Part of the window is above or below the frame: a row of
+            // zeros, which clears an AND and leaves an OR as it is.
+            for d in dst.iter_mut() {
+                *d = op(*d, 0);
+            }
+        }
+    }
+}
+
+/// Word `i` of `row` moved `k` pixels towards higher `x` (bit `b` of the
+/// result is pixel `64·i + b − k`), zeros shifted in at the row start.
+fn shifted_up(row: &[u64], i: usize, k: usize) -> u64 {
+    let (words, bits) = (k / 64, k % 64);
+    let at = |back: usize| i.checked_sub(back).map_or(0, |j| row[j]);
+    match bits {
+        0 => at(words),
+        _ => at(words) << bits | at(words + 1) >> (64 - bits),
+    }
+}
+
+/// Word `i` of `row` moved `k` pixels towards lower `x` (bit `b` of the
+/// result is pixel `64·i + b + k`), zeros shifted in at the row end.
+fn shifted_down(row: &[u64], i: usize, k: usize) -> u64 {
+    let (words, bits) = (k / 64, k % 64);
+    let at = |ahead: usize| row.get(i + ahead).copied().unwrap_or(0);
+    match bits {
+        0 => at(words),
+        _ => at(words) >> bits | at(words + 1) << (64 - bits),
+    }
+}
+
+/// The per-pixel definitions the word-wide passes replaced, kept as the
+/// reference the unit tests and proptests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::BinaryFrame;
+
+    pub(crate) fn erode(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
+        if radius == 0 {
+            return mask.clone();
+        }
+        let (w, h) = (mask.width(), mask.height());
+        let mut out = BinaryFrame::new(w, h);
+        let r = radius as isize;
+        for y in 0..h as isize {
+            'pix: for x in 0..w as isize {
+                for dy in -r..=r {
+                    for dx in -r..=r {
+                        let (nx, ny) = (x + dx, y + dy);
+                        if nx < 0 || ny < 0 || nx >= w as isize || ny >= h as isize {
+                            continue 'pix; // border treated as background
+                        }
+                        if !mask.get(nx as usize, ny as usize) {
+                            continue 'pix;
+                        }
+                    }
+                }
+                out.put(x as usize, y as usize, true);
+            }
+        }
+        out
+    }
+
+    pub(crate) fn dilate(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
+        if radius == 0 {
+            return mask.clone();
+        }
+        let (w, h) = (mask.width(), mask.height());
+        let mut out = BinaryFrame::new(w, h);
+        let r = radius as isize;
+        for y in 0..h as isize {
+            for x in 0..w as isize {
+                if !mask.get(x as usize, y as usize) {
+                    continue;
+                }
+                for dy in -r..=r {
+                    for dx in -r..=r {
+                        let (nx, ny) = (x + dx, y + dy);
+                        if nx >= 0 && ny >= 0 && nx < w as isize && ny < h as isize {
+                            out.put(nx as usize, ny as usize, true);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    pub(crate) fn opening(mask: &BinaryFrame, radius: usize) -> BinaryFrame {
+        dilate(&erode(mask, radius), radius)
+    }
 }
 
 #[cfg(test)]

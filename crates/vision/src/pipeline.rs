@@ -5,10 +5,10 @@
 //! classifier trains on: the paper argues that after this reduction the
 //! model only has to learn *where moving things are*, not appearance.
 
-use crate::{opening, BackgroundSubtractor, BinaryFrame, GrayFrame};
+use crate::morphology::opening_in_place;
+use crate::{BackgroundSubtractor, BinaryFrame, GrayFrame};
 use safecross_tensor::Tensor;
 use safecross_telemetry::{Counter, Histogram, Registry};
-use std::collections::VecDeque;
 
 /// Configuration of the VP pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -68,21 +68,15 @@ impl GridMapper {
     pub fn map(&self, mask: &BinaryFrame) -> Tensor {
         let mut grid = Tensor::zeros(&[self.grid_height, self.grid_width]);
         let (w, h) = (mask.width(), mask.height());
+        let cells = grid.data_mut();
         for gy in 0..self.grid_height {
             let y0 = gy * h / self.grid_height;
             let y1 = ((gy + 1) * h / self.grid_height).max(y0 + 1).min(h);
             for gx in 0..self.grid_width {
                 let x0 = gx * w / self.grid_width;
                 let x1 = ((gx + 1) * w / self.grid_width).max(x0 + 1).min(w);
-                let mut set = 0usize;
-                for y in y0..y1 {
-                    for x in x0..x1 {
-                        if mask.get(x, y) {
-                            set += 1;
-                        }
-                    }
-                }
-                grid.set(&[gy, gx], set as f32 / ((x1 - x0) * (y1 - y0)) as f32);
+                let set = mask.count_in(x0, x1, y0, y1);
+                cells[gy * self.grid_width + gx] = set as f32 / ((x1 - x0) * (y1 - y0)) as f32;
             }
         }
         grid
@@ -103,6 +97,12 @@ pub struct Preprocessor {
     bgs: BackgroundSubtractor,
     mapper: GridMapper,
     config: PreprocessConfig,
+    /// The current frame's mask: raw foreground after the BGS sweep,
+    /// opened in place after the morphology step.
+    mask: BinaryFrame,
+    /// The opening's intermediate. With `mask` it is all the mask memory
+    /// the pipeline ever touches: a frame allocates only its grid.
+    scratch: BinaryFrame,
     telemetry: Option<VpTelemetry>,
 }
 
@@ -116,6 +116,19 @@ struct VpTelemetry {
     remap_ms: Histogram,
 }
 
+/// Runs `f`, timed into the histogram `pick` selects when telemetry is
+/// attached.
+fn timed<R>(
+    telemetry: &Option<VpTelemetry>,
+    pick: impl FnOnce(&VpTelemetry) -> &Histogram,
+    f: impl FnOnce() -> R,
+) -> R {
+    match telemetry {
+        None => f(),
+        Some(tel) => pick(tel).time(f),
+    }
+}
+
 impl Preprocessor {
     /// Creates a pipeline for `width x height` input frames.
     pub fn new(width: usize, height: usize, config: PreprocessConfig) -> Self {
@@ -123,6 +136,8 @@ impl Preprocessor {
             bgs: BackgroundSubtractor::new(width, height, config.bgs_alpha, config.bgs_threshold),
             mapper: GridMapper::new(config.grid_width, config.grid_height),
             config,
+            mask: BinaryFrame::new(width, height),
+            scratch: BinaryFrame::new(width, height),
             telemetry: None,
         }
     }
@@ -143,29 +158,38 @@ impl Preprocessor {
 
     /// Runs the full pipeline on one frame, returning the occupancy grid.
     pub fn process(&mut self, frame: &GrayFrame) -> Tensor {
-        self.stages(frame).2
+        self.subtract(frame);
+        self.open();
+        self.remap()
     }
 
     /// Runs the pipeline, exposing every intermediate stage (the paper's
     /// Fig. 3): raw foreground mask, opened mask, occupancy grid.
     pub fn stages(&mut self, frame: &GrayFrame) -> (BinaryFrame, BinaryFrame, Tensor) {
-        match self.telemetry.clone() {
-            None => {
-                let raw = self.bgs.apply(frame);
-                let opened = opening(&raw, self.config.morph_radius);
-                let grid = self.mapper.map(&opened);
-                (raw, opened, grid)
-            }
-            Some(tel) => {
-                tel.frames.inc();
-                let raw = tel.bgs_ms.time(|| self.bgs.apply(frame));
-                let opened = tel
-                    .morph_ms
-                    .time(|| opening(&raw, self.config.morph_radius));
-                let grid = tel.remap_ms.time(|| self.mapper.map(&opened));
-                (raw, opened, grid)
-            }
+        self.subtract(frame);
+        let raw = self.mask.clone();
+        self.open();
+        (raw, self.mask.clone(), self.remap())
+    }
+
+    /// Background subtraction: `mask` becomes the raw foreground.
+    fn subtract(&mut self, frame: &GrayFrame) {
+        if let Some(tel) = &self.telemetry {
+            tel.frames.inc();
         }
+        timed(&self.telemetry, |t| &t.bgs_ms, || self.bgs.apply_into(frame, &mut self.mask));
+    }
+
+    /// Opening: `mask` is replaced by its opened version.
+    fn open(&mut self) {
+        timed(&self.telemetry, |t| &t.morph_ms, || {
+            opening_in_place(&mut self.mask, self.config.morph_radius, &mut self.scratch)
+        });
+    }
+
+    /// Remap of the current `mask` onto the occupancy grid.
+    fn remap(&self) -> Tensor {
+        timed(&self.telemetry, |t| &t.remap_ms, || self.mapper.map(&self.mask))
     }
 
     /// The pipeline configuration.
@@ -181,9 +205,21 @@ impl Preprocessor {
 
 /// A sliding window that assembles per-frame grids into a
 /// `[1, T, H, W]` clip tensor — the classifier's input format.
+///
+/// The window is one flat ring of `T` slots of `H · W` values. It grows
+/// a slot per push until it holds a full segment (an idle stream pays
+/// only for the frames it has seen); from then on a push overwrites the
+/// oldest slot, and assembling the clip is one allocation filled by two
+/// copies (oldest slot to the end of the ring, then the start of the
+/// ring up to the newest).
 #[derive(Debug, Clone)]
 pub struct SegmentBuffer {
-    frames: VecDeque<Tensor>,
+    /// The buffered grids back to back; in arrival order until full.
+    ring: Vec<f32>,
+    /// `[H, W]` of the buffered grids.
+    grid_dims: [usize; 2],
+    /// Slot of the oldest frame (0 until the buffer is full and slides).
+    oldest: usize,
     capacity: usize,
 }
 
@@ -196,22 +232,40 @@ impl SegmentBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         SegmentBuffer {
-            frames: VecDeque::with_capacity(capacity),
+            ring: Vec::new(),
+            grid_dims: [0; 2],
+            oldest: 0,
             capacity,
         }
     }
 
     /// Appends a grid, evicting the oldest frame when full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` is not `[H, W]`, or differs in shape from the
+    /// frames already buffered (an empty buffer takes any `[H, W]`).
     pub fn push(&mut self, grid: Tensor) {
-        if self.frames.len() == self.capacity {
-            self.frames.pop_front();
+        let &[h, w] = grid.dims() else {
+            panic!("segment frames must be [H, W] grids, got {:?}", grid.dims());
+        };
+        if self.ring.is_empty() {
+            self.grid_dims = [h, w];
         }
-        self.frames.push_back(grid);
+        assert_eq!([h, w], self.grid_dims, "grid shape changed mid-segment");
+        if self.is_full() {
+            let slot = self.oldest * h * w;
+            self.ring[slot..slot + h * w].copy_from_slice(grid.data());
+            self.oldest = (self.oldest + 1) % self.capacity;
+        } else {
+            self.ring.extend_from_slice(grid.data());
+        }
     }
 
     /// Number of buffered frames.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        let [h, w] = self.grid_dims;
+        self.ring.len().checked_div(h * w).unwrap_or(0)
     }
 
     /// Frames per assembled clip (the `T` of the `[1, T, H, W]` output).
@@ -221,12 +275,12 @@ impl SegmentBuffer {
 
     /// Whether the buffer holds no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.ring.is_empty()
     }
 
     /// Whether a full clip is available.
     pub fn is_full(&self) -> bool {
-        self.frames.len() == self.capacity
+        self.len() == self.capacity
     }
 
     /// Assembles the clip as `[1, T, H, W]` (channel-leading, ready to be
@@ -235,15 +289,46 @@ impl SegmentBuffer {
         if !self.is_full() {
             return None;
         }
-        let parts: Vec<Tensor> = self.frames.iter().cloned().collect();
-        let stacked = Tensor::stack(&parts); // [T, H, W]
-        let dims = stacked.dims().to_vec();
-        Some(stacked.reshape(&[1, dims[0], dims[1], dims[2]]))
+        let [h, w] = self.grid_dims;
+        let (newer, older) = self.ring.split_at(self.oldest * h * w);
+        let mut clip = Vec::with_capacity(self.ring.len());
+        clip.extend_from_slice(older);
+        clip.extend_from_slice(newer);
+        Some(Tensor::from_vec(clip, &[1, self.capacity, h, w]))
     }
 
     /// Clears the buffer.
     pub fn clear(&mut self) {
-        self.frames.clear();
+        self.ring.clear();
+        self.oldest = 0;
+    }
+}
+
+#[cfg(test)]
+impl GridMapper {
+    /// The per-pixel count `map` replaced, kept as the reference the
+    /// proptests compare against.
+    pub(crate) fn map_reference(&self, mask: &BinaryFrame) -> Tensor {
+        let mut grid = Tensor::zeros(&[self.grid_height, self.grid_width]);
+        let (w, h) = (mask.width(), mask.height());
+        for gy in 0..self.grid_height {
+            let y0 = gy * h / self.grid_height;
+            let y1 = ((gy + 1) * h / self.grid_height).max(y0 + 1).min(h);
+            for gx in 0..self.grid_width {
+                let x0 = gx * w / self.grid_width;
+                let x1 = ((gx + 1) * w / self.grid_width).max(x0 + 1).min(w);
+                let mut set = 0usize;
+                for y in y0..y1 {
+                    for x in x0..x1 {
+                        if mask.get(x, y) {
+                            set += 1;
+                        }
+                    }
+                }
+                grid.set(&[gy, gx], set as f32 / ((x1 - x0) * (y1 - y0)) as f32);
+            }
+        }
+        grid
     }
 }
 
