@@ -36,8 +36,9 @@
 //! Memory stays bounded at both ends: replay lanes drop oldest by byte
 //! budget, and the checkpoint store's LRU ceiling
 //! ([`ModelRegistry::set_memory_ceiling`](safecross_modelswitch::ModelRegistry::set_memory_ceiling))
-//! evicts retired challengers while pins and resident-layout handles
-//! protect the base checkpoints and whatever is actively serving.
+//! evicts retired challengers while pins protect the base checkpoints
+//! and switchers' shared descriptors protect every checkpoint some
+//! stream can still switch to.
 //!
 //! Determinism: the learner owns no RNG — the holdout split and the
 //! chaos seam ([`TrainerFaultHook`]) are pure SplitMix64 hashes of

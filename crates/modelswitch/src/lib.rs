@@ -21,15 +21,17 @@
 //! - [`simulate_switch`]: the event simulation for every
 //!   [`SwitchStrategy`], including the paper's *optimal model-aware
 //!   grouping*, found with a Pareto-pruned dynamic programme;
-//! - [`MemoryPool`]: the pinned GPU memory manager that lets the standby
-//!   model stream in next to the active one;
+//! - a pinned GPU memory pool that lets the standby model stream in
+//!   next to the active one;
 //! - [`ModelRegistry`]: the content-addressed weight store — layer-group
 //!   blobs with refcounted dedup, shared by every consumer of a model;
 //! - [`ModelSwitcher`]: the registry the SafeCross runtime drives when
-//!   the detected weather scene changes. With a [`ModelRegistry`]
-//!   attached, a switch *activates real weights*: every layer group of
-//!   the target checkpoint is pinned into the resident set in manifest
-//!   order, and the analytic timeline is driven by the same group sizes.
+//!   the detected weather scene changes. A switch moves a descriptor's
+//!   bytes through the simulated link — for a checkpoint registered
+//!   from the store, one timeline layer per layer group at the group's
+//!   real size. The weights that classify live in the store and in the
+//!   replicas loaded from it; a checkpoint stays stored for as long as
+//!   some switcher can switch to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,11 +46,9 @@ mod store;
 mod switcher;
 
 pub use gpu::GpuSpec;
-pub use memory::{MemoryError, MemoryPool};
+pub use memory::MemoryError;
 pub use model_desc::{LayerDesc, ModelDesc};
-pub use schedule::{
-    optimal_groups, simulate_switch, SwitchReport, SwitchStrategy, TimelineEvent, TimelinePhase,
-};
+pub use schedule::{simulate_switch, SwitchReport, SwitchStrategy, TimelineEvent, TimelinePhase};
 pub use store::ModelRegistry;
 pub use switcher::{
     ModelSwitcher, SwitchBreakdown, SwitchError, SwitchFaultHook, SwitchOutcome, SwitchRecord,

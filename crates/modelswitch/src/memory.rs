@@ -39,22 +39,30 @@ impl fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
-/// A fixed-capacity GPU memory pool with named reservations.
+/// A fixed-capacity GPU memory pool with named reservations. Callers
+/// see it through [`crate::ModelSwitcher`]: a model that does not fit
+/// even after the previous one was evicted is refused, and the previous
+/// model keeps serving.
 ///
 /// ```
-/// use safecross_modelswitch::MemoryPool;
+/// use safecross_modelswitch::{GpuSpec, ModelDesc, ModelSwitcher, SwitchError, SwitchStrategy};
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut pool = MemoryPool::new(11 * 1024 * 1024 * 1024); // 11 GB card
-/// pool.reserve("daytime", 600_000_000)?;
-/// pool.reserve("snow", 600_000_000)?;
-/// assert!(pool.used() > 1_000_000_000);
-/// pool.release("daytime")?;
-/// # Ok(())
-/// # }
+/// let small = ModelDesc::slowfast_r50();
+/// let switcher = ModelSwitcher::new(
+///     GpuSpec::rtx_2080_ti(),
+///     small.total_bytes() + 1024,
+///     SwitchStrategy::PipelinedOptimal,
+/// );
+/// switcher.register("daytime", small);
+/// switcher.register("huge", ModelDesc::resnet152());
+/// switcher.switch_to("daytime")?;
+/// let err = switcher.switch_to("huge").unwrap_err();
+/// assert!(matches!(err, SwitchError::OutOfMemory { .. }));
+/// assert_eq!(switcher.active().as_deref(), Some("daytime"));
+/// # Ok::<(), SwitchError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct MemoryPool {
+pub(crate) struct MemoryPool {
     capacity: usize,
     reservations: HashMap<String, usize>,
 }
@@ -65,7 +73,7 @@ impl MemoryPool {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         MemoryPool {
             capacity,
@@ -73,24 +81,14 @@ impl MemoryPool {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Bytes currently reserved.
-    pub fn used(&self) -> usize {
+    pub(crate) fn used(&self) -> usize {
         self.reservations.values().sum()
     }
 
     /// Bytes available.
-    pub fn free(&self) -> usize {
+    pub(crate) fn free(&self) -> usize {
         self.capacity - self.used()
-    }
-
-    /// Whether a named reservation exists.
-    pub fn is_resident(&self, name: &str) -> bool {
-        self.reservations.contains_key(name)
     }
 
     /// Reserves `bytes` under `name`.
@@ -99,7 +97,7 @@ impl MemoryPool {
     ///
     /// [`MemoryError::OutOfMemory`] when the pool cannot fit the request;
     /// [`MemoryError::AlreadyReserved`] for duplicate names.
-    pub fn reserve(&mut self, name: &str, bytes: usize) -> Result<(), MemoryError> {
+    pub(crate) fn reserve(&mut self, name: &str, bytes: usize) -> Result<(), MemoryError> {
         if self.reservations.contains_key(name) {
             return Err(MemoryError::AlreadyReserved(name.to_owned()));
         }
@@ -118,7 +116,7 @@ impl MemoryPool {
     /// # Errors
     ///
     /// [`MemoryError::NotReserved`] when no such reservation exists.
-    pub fn release(&mut self, name: &str) -> Result<usize, MemoryError> {
+    pub(crate) fn release(&mut self, name: &str) -> Result<usize, MemoryError> {
         self.reservations
             .remove(name)
             .ok_or_else(|| MemoryError::NotReserved(name.to_owned()))
@@ -135,7 +133,6 @@ mod tests {
         pool.reserve("a", 400).unwrap();
         assert_eq!(pool.used(), 400);
         assert_eq!(pool.free(), 600);
-        assert!(pool.is_resident("a"));
         assert_eq!(pool.release("a").unwrap(), 400);
         assert_eq!(pool.used(), 0);
     }

@@ -118,7 +118,7 @@ proptest! {
             })
             .collect();
         let manifest = store.register_model("prop", &grouped);
-        let model = store.model_desc("prop", flops).expect("registered");
+        let model = store.shared_model_desc("prop", flops).expect("registered");
 
         // Descriptor faithfully mirrors the manifest.
         prop_assert_eq!(model.num_layers(), manifest.groups.len());

@@ -100,7 +100,7 @@ fn pipeline_makespan(
 /// model-aware grouping.
 ///
 /// Returns group sizes (layer counts per group).
-pub fn optimal_groups(gpu: &GpuSpec, model: &ModelDesc) -> Vec<usize> {
+pub(crate) fn optimal_groups(gpu: &GpuSpec, model: &ModelDesc) -> Vec<usize> {
     let n = model.layers.len();
     // Prefix sums for O(1) group cost queries.
     let mut bytes_prefix = vec![0usize; n + 1];

@@ -14,9 +14,10 @@
 //! The manifest type is [`safecross_nn::ModelManifest`] — the same
 //! structure `safecross_nn::save_grouped` writes to disk — so a
 //! weight file, an in-memory registration, and a switcher activation all
-//! describe a model identically. [`ModelRegistry::model_desc`] projects
-//! a manifest onto [`ModelDesc`] with one [`LayerDesc`] per group, which
-//! is how the switch timeline comes to be driven by real group sizes.
+//! describe a model identically. `ModelRegistry::shared_model_desc`
+//! projects a manifest onto [`ModelDesc`] with one [`LayerDesc`] per
+//! group, which is how the switch timeline comes to be driven by real
+//! group sizes.
 
 use crate::model_desc::{LayerDesc, ModelDesc};
 use safecross_nn::{manifest_for, ModelManifest};
@@ -36,7 +37,7 @@ struct BlobSpan {
 /// One content-addressed weight group: flat data plus per-tensor spans.
 #[derive(Debug)]
 struct Blob {
-    data: Arc<Vec<f32>>,
+    data: Vec<f32>,
     spans: Vec<BlobSpan>,
     refs: usize,
 }
@@ -45,21 +46,6 @@ impl Blob {
     fn bytes(&self) -> usize {
         self.data.len() * 4
     }
-}
-
-/// Everything a switcher needs to make a checkpoint's weights resident:
-/// the group blobs (shared with the store) plus the flattened
-/// `(qualified name, dims, group index, offset, len)` table, both in
-/// manifest order. Built once per checkpoint and cached behind an
-/// `Arc`, so ten thousand sessions resident on the same model hold one
-/// layout, not ten thousand copies of its per-tensor metadata.
-#[derive(Debug, Default)]
-pub(crate) struct ResidentLayout {
-    /// Group blobs in manifest order, shared with the store.
-    pub groups: Vec<Arc<Vec<f32>>>,
-    /// `(qualified name, dims, group index, offset, len)` per tensor,
-    /// manifest order; `offset`/`len` index into `groups[group index]`.
-    pub params: Vec<(String, Vec<usize>, usize, usize, usize)>,
 }
 
 /// Pre-fetched registry gauges (see [`ModelRegistry::instrument`]).
@@ -76,12 +62,11 @@ struct StoreTelemetry {
 struct StoreInner {
     blobs: HashMap<u64, Blob>,
     models: HashMap<String, ModelManifest>,
-    /// Lazily-built shared switch descriptors, keyed by checkpoint name
-    /// (the `u64` is the FLOP budget they were derived with, in bits).
-    /// Invalidated whenever the named checkpoint changes.
-    descs: HashMap<String, (u64, Arc<ModelDesc>)>,
-    /// Lazily-built shared activation layouts, invalidated with `descs`.
-    layouts: HashMap<String, Arc<ResidentLayout>>,
+    /// Lazily-built shared switch descriptors per checkpoint name, one
+    /// per FLOP budget (the `u64`, in bits) they were derived with.
+    /// Invalidated whenever the named checkpoint changes. A descriptor
+    /// held outside the store protects its checkpoint from eviction.
+    descs: HashMap<String, Vec<(u64, Arc<ModelDesc>)>>,
     /// LRU eviction state: `stored_bytes` ceiling (None = unbounded),
     /// names never evicted, and a monotone access clock per checkpoint.
     ceiling: Option<usize>,
@@ -135,23 +120,30 @@ impl StoreInner {
         }
     }
 
+    /// Whether a shared descriptor of `name` is held outside the store:
+    /// some switcher has the checkpoint registered, so it can be
+    /// switched to at any moment.
+    fn switchable(&self, name: &str) -> bool {
+        self.descs
+            .get(name)
+            .is_some_and(|v| v.iter().any(|(_, d)| Arc::strong_count(d) > 1))
+    }
+
     /// Evicts least-recently-touched checkpoints until `stored_bytes`
-    /// fits under the ceiling. Pinned checkpoints and checkpoints whose
-    /// resident layout is held outside the store (a switcher has them
-    /// active) are never candidates, so eviction can stall above the
-    /// ceiling rather than drop in-use weights.
+    /// fits under the ceiling. Pinned checkpoints and switchable ones
+    /// (some switcher holds their shared descriptor) are never
+    /// candidates, so eviction can stall above the ceiling rather than
+    /// drop weights a session may still serve. Re-registering a name
+    /// with *changed* content drops its cached descriptors, so the
+    /// protection follows the new content only once a switcher
+    /// registers it again.
     fn enforce_ceiling(&mut self) {
         let Some(ceiling) = self.ceiling else { return };
         while self.stored_bytes() > ceiling {
             let victim = self
                 .models
                 .keys()
-                .filter(|n| !self.pinned.contains(*n))
-                .filter(|n| {
-                    self.layouts
-                        .get(*n)
-                        .is_none_or(|l| Arc::strong_count(l) == 1)
-                })
+                .filter(|n| !self.pinned.contains(*n) && !self.switchable(n))
                 .min_by_key(|n| (self.touched.get(*n).copied().unwrap_or(0), (*n).clone()))
                 .cloned();
             let Some(name) = victim else { break };
@@ -159,7 +151,6 @@ impl StoreInner {
             let manifest = self.models.remove(&name).expect("victim is registered");
             self.release_groups(&manifest);
             self.descs.remove(&name);
-            self.layouts.remove(&name);
             self.touched.remove(&name);
             let freed = before - self.stored_bytes();
             self.evicted_bytes += freed;
@@ -266,11 +257,9 @@ impl ModelRegistry {
         }
         // A re-registration with bit-identical content (every session of
         // a fleet registers the same scene checkpoints) keeps the cached
-        // shared descriptor and layout; only real content changes
-        // invalidate them.
+        // shared descriptors; only real content changes invalidate them.
         if old.as_ref() != Some(&manifest) {
             inner.descs.remove(name);
-            inner.layouts.remove(name);
         }
         inner.models.insert(name.to_owned(), manifest.clone());
         inner.touch(name);
@@ -284,7 +273,6 @@ impl ModelRegistry {
     pub fn remove_model(&self, name: &str) -> bool {
         let mut inner = self.lock();
         inner.descs.remove(name);
-        inner.layouts.remove(name);
         inner.touched.remove(name);
         inner.pinned.remove(name);
         match inner.models.remove(name) {
@@ -350,25 +338,20 @@ impl ModelRegistry {
     /// Projects the checkpoint `name` onto a switcher [`ModelDesc`]:
     /// one [`LayerDesc`] per layer group carrying the group's **real**
     /// byte size, with `total_flops` attributed proportionally to bytes.
-    /// This is what makes the analytic switch timeline move the same
-    /// payload the activation path copies.
-    pub fn model_desc(&self, name: &str, total_flops: f64) -> Option<ModelDesc> {
-        self.shared_model_desc(name, total_flops).map(|d| (*d).clone())
-    }
-
-    /// Like [`ModelRegistry::model_desc`], but returns the store's
-    /// cached shared descriptor: the first call for a checkpoint builds
-    /// the layer table, every later call (every further session opened
-    /// on the fleet) clones an `Arc`. The cache is invalidated when the
-    /// checkpoint is re-registered or removed.
-    pub fn shared_model_desc(&self, name: &str, total_flops: f64) -> Option<Arc<ModelDesc>> {
+    ///
+    /// The descriptor is cached and shared: the first call for a
+    /// checkpoint and budget builds the layer table, every later call
+    /// (every further session opened on the fleet) clones an `Arc`. The
+    /// cache is invalidated when the checkpoint is re-registered with
+    /// changed content or removed. Crate-private because an outside
+    /// holder of the `Arc` protects the checkpoint from eviction.
+    pub(crate) fn shared_model_desc(&self, name: &str, total_flops: f64) -> Option<Arc<ModelDesc>> {
         let mut inner = self.lock();
         inner.touch(name);
         let bits = total_flops.to_bits();
-        if let Some((b, desc)) = inner.descs.get(name) {
-            if *b == bits {
-                return Some(Arc::clone(desc));
-            }
+        let cached = inner.descs.get(name).and_then(|v| v.iter().find(|(b, _)| *b == bits));
+        if let Some((_, desc)) = cached {
+            return Some(Arc::clone(desc));
         }
         let manifest = inner.models.get(name)?;
         let total_bytes = manifest.total_bytes().max(1);
@@ -382,7 +365,10 @@ impl ModelRegistry {
             })
             .collect();
         let desc = Arc::new(ModelDesc::new(name, layers, manifest.total_params()));
-        inner.descs.insert(name.to_owned(), (bits, Arc::clone(&desc)));
+        let cached = inner.descs.entry(name.to_owned()).or_default();
+        // Budgets nobody holds any more need no slot.
+        cached.retain(|(_, d)| Arc::strong_count(d) > 1);
+        cached.push((bits, Arc::clone(&desc)));
         Some(desc)
     }
 
@@ -405,44 +391,16 @@ impl ModelRegistry {
         Some(out)
     }
 
-    /// The shared activation layout of checkpoint `name`, for the
-    /// switcher's activation path: built once, then served from cache
-    /// until the checkpoint changes. The blobs inside are refcounted
-    /// with the store, so a layout (and any switcher pinning it) keeps
-    /// its weights alive even if the checkpoint is later removed.
-    pub(crate) fn resident_layout(&self, name: &str) -> Option<Arc<ResidentLayout>> {
-        let mut inner = self.lock();
-        inner.touch(name);
-        if let Some(layout) = inner.layouts.get(name) {
-            return Some(Arc::clone(layout));
-        }
-        let manifest = inner.models.get(name)?;
-        let mut layout = ResidentLayout::default();
-        for g in &manifest.groups {
-            let blob = inner.blobs.get(&g.hash).expect("registered group has a blob");
-            let index = layout.groups.len();
-            for (pname, span) in g.params.iter().zip(&blob.spans) {
-                layout
-                    .params
-                    .push((pname.clone(), span.dims.clone(), index, span.offset, span.len));
-            }
-            layout.groups.push(Arc::clone(&blob.data));
-        }
-        let layout = Arc::new(layout);
-        inner.layouts.insert(name.to_owned(), Arc::clone(&layout));
-        Some(layout)
-    }
-
     /// Sets (or clears, with `None`) the `stored_bytes` ceiling.
     /// Whenever a registration pushes physical storage past the
     /// ceiling, least-recently-used checkpoints are evicted until it
     /// fits again — except pinned checkpoints
-    /// ([`ModelRegistry::pin_model`]) and checkpoints whose activation
-    /// layout is currently held by a switcher, which are never evicted
-    /// (so a tight ceiling can be exceeded rather than corrupt a
-    /// resident model). An evicted checkpoint simply disappears from
-    /// the registry: `state_dict` returns `None` and it must be
-    /// re-registered to be used again.
+    /// ([`ModelRegistry::pin_model`]) and checkpoints some
+    /// [`crate::ModelSwitcher`] has registered (can switch to), which
+    /// are never evicted (so a tight ceiling can be exceeded rather than
+    /// drop weights a session may serve). An evicted checkpoint simply
+    /// disappears from the registry: `state_dict` returns `None` and it
+    /// must be re-registered to be used again.
     pub fn set_memory_ceiling(&self, ceiling: Option<usize>) {
         let mut inner = self.lock();
         inner.ceiling = ceiling;
@@ -460,16 +418,6 @@ impl ModelRegistry {
     /// allowed and takes effect if it is registered later.
     pub fn pin_model(&self, name: &str) {
         self.lock().pinned.insert(name.to_owned());
-    }
-
-    /// Makes `name` evictable again. Returns whether it was pinned.
-    pub fn unpin_model(&self, name: &str) -> bool {
-        self.lock().pinned.remove(name)
-    }
-
-    /// Whether `name` is pinned against eviction.
-    pub fn is_pinned(&self, name: &str) -> bool {
-        self.lock().pinned.contains(name)
     }
 
     /// Total physical bytes freed by LRU eviction so far.
@@ -500,7 +448,7 @@ fn build_blob(entries: &[(String, Tensor)]) -> Blob {
         data.extend_from_slice(t.data());
     }
     Blob {
-        data: Arc::new(data),
+        data,
         spans,
         refs: 1,
     }
@@ -620,13 +568,13 @@ mod tests {
         let store = ModelRegistry::new();
         let groups = vec![group("stem", 1.0, 300), group("head", 2.0, 100)];
         store.register_model("m", &groups);
-        let desc = store.model_desc("m", 4.0e9).expect("registered");
+        let desc = store.shared_model_desc("m", 4.0e9).expect("registered");
         assert_eq!(desc.num_layers(), 2);
         assert_eq!(desc.layers[0].param_bytes, 300 * 4);
         assert_eq!(desc.layers[1].param_bytes, 100 * 4);
         assert_eq!(desc.total_bytes(), 400 * 4);
         assert!((desc.layers[0].flops - 3.0e9).abs() < 1.0);
-        assert!(store.model_desc("missing", 1.0).is_none());
+        assert!(store.shared_model_desc("missing", 1.0).is_none());
     }
 
     #[test]
@@ -675,8 +623,6 @@ mod tests {
         assert!(store.contains("base"), "pinned checkpoint never evicted");
         assert!(store.evictions() > 0, "churn actually evicted something");
         assert!(store.stored_bytes() <= 500);
-        assert!(store.unpin_model("base"));
-        assert!(!store.is_pinned("base"));
     }
 
     #[test]
@@ -696,19 +642,25 @@ mod tests {
     }
 
     #[test]
-    fn resident_layout_holders_are_protected_from_eviction() {
+    fn held_descriptors_are_protected_from_eviction() {
         let store = ModelRegistry::new();
-        store.register_model("active", &[group("ga", 1.0, 100)]);
-        // Simulate a switcher keeping the model resident: it holds the
-        // shared activation layout, so the store's cached Arc has an
-        // external holder and the checkpoint must not be evicted.
-        let _held = store.resident_layout("active").expect("registered");
+        store.register_model("switchable", &[group("ga", 1.0, 100)]);
+        // Simulate a switcher that can switch to the model: it holds the
+        // shared descriptor, so the store's cached Arc has an outside
+        // holder and the checkpoint must not be evicted — even after a
+        // descriptor at another FLOP budget was derived next to it.
+        let held = store.shared_model_desc("switchable", 1.0e9).expect("registered");
+        drop(store.shared_model_desc("switchable", 2.0e9));
         store.set_memory_ceiling(Some(500));
         for i in 0..4 {
             store.register_model(&format!("gen{i}"), &[group("g", i as f32 + 10.0, 100)]);
         }
-        assert!(store.contains("active"), "resident checkpoint evicted");
+        assert!(store.contains("switchable"), "switchable checkpoint evicted");
         assert!(store.evictions() > 0);
+        // Dropping the last outside holder makes it evictable again.
+        drop(held);
+        store.register_model("gen4", &[group("g", 14.0, 100)]);
+        assert!(!store.contains("switchable"), "unheld checkpoint stays protected");
     }
 
     #[test]

@@ -4,9 +4,8 @@ use crate::gpu::GpuSpec;
 use crate::memory::{MemoryError, MemoryPool};
 use crate::model_desc::ModelDesc;
 use crate::schedule::{simulate_switch, SwitchReport, SwitchStrategy, TimelineEvent, TimelinePhase};
-use crate::store::{ModelRegistry, ResidentLayout};
+use crate::store::ModelRegistry;
 use safecross_telemetry::{Counter, Histogram, Registry};
-use safecross_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -130,8 +129,8 @@ struct SwitchTelemetry {
 /// A fault-injection seam for chaos testing: decides whether a switch
 /// attempt is sabotaged with a synthetic out-of-memory failure *after*
 /// the old model has been evicted — the worst-case point, exercising
-/// the full rollback path (re-reserve the old model's bytes, keep its
-/// weights resident, keep serving it).
+/// the full rollback path (re-reserve the old model's bytes, keep it
+/// active, keep serving it).
 ///
 /// The hook is consulted with a monotonically increasing attempt
 /// counter so a deterministic plan (same seed, same decisions) needs no
@@ -152,20 +151,6 @@ impl fmt::Debug for FaultHookHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("SwitchFaultHook(..)")
     }
-}
-
-/// The weights currently resident on the simulated device: the active
-/// model's shared [`ResidentLayout`], pinned straight out of the store.
-/// Activation is zero-copy — the layout (group blobs *and* the
-/// per-tensor metadata table) is refcounted with the content-addressed
-/// store, so N sessions resident on the same checkpoint hold one copy
-/// of everything, not N (the property that lets a 10k-stream fleet fit
-/// in memory). The pinned `Arc` keeps the bytes alive even if the
-/// checkpoint is later unregistered.
-#[derive(Debug, Default)]
-struct ResidentModel {
-    name: String,
-    layout: Arc<ResidentLayout>,
 }
 
 /// A registry of scene models plus the simulated device state. This is
@@ -190,10 +175,10 @@ struct Inner {
     active: Option<String>,
     switch_log: Vec<SwitchRecord>,
     telemetry: Option<SwitchTelemetry>,
-    /// Weight store for real activations; descriptor-only operation
-    /// (synthetic [`ModelDesc`]s, no weights) works without one.
+    /// Checkpoint store [`ModelSwitcher::register_from_store`] derives
+    /// descriptors from; descriptor-only operation (synthetic
+    /// [`ModelDesc`]s) works without one.
     store: Option<ModelRegistry>,
-    resident: ResidentModel,
     /// Chaos seam: consulted once per real switch attempt.
     fault_hook: Option<FaultHookHandle>,
     /// Real switch attempts so far (fuel for deterministic fault plans).
@@ -211,7 +196,6 @@ impl ModelSwitcher {
                 switch_log: Vec::new(),
                 telemetry: None,
                 store: None,
-                resident: ResidentModel::default(),
                 fault_hook: None,
                 attempts: 0,
             })),
@@ -222,7 +206,8 @@ impl ModelSwitcher {
 
     /// Attaches a telemetry registry shared by every clone of this
     /// switcher. Each completed swap then bumps `ms.switches`, records
-    /// latency/transmit/compute histograms under `ms.*`, and appends a
+    /// latency/transmit/compute histograms under `ms.*`, adds the
+    /// descriptor's bytes to `switch.activate.bytes`, and appends a
     /// `model_switch` journal event.
     pub fn instrument(&self, registry: &Registry) {
         let tel = SwitchTelemetry {
@@ -263,11 +248,10 @@ impl ModelSwitcher {
             .insert(name.to_owned(), Arc::new(model));
     }
 
-    /// Attaches a weight store. Subsequent switches to models the store
-    /// holds *activate real weights*: each layer group's blob is pinned
-    /// into the resident set in manifest order (readable back through
-    /// [`ModelSwitcher::resident_state_dict`]). Models registered only
-    /// as descriptors keep their analytic-only behaviour.
+    /// Attaches a checkpoint store for [`ModelSwitcher::register_from_store`].
+    /// A switch moves a descriptor's bytes through the simulated link;
+    /// the weights that classify stay in the store and are loaded from
+    /// it by whoever runs the forward.
     pub fn attach_store(&self, store: &ModelRegistry) {
         self.inner.lock().expect("switcher mutex poisoned").store = Some(store.clone());
     }
@@ -276,6 +260,9 @@ impl ModelSwitcher {
     /// descriptor is derived from the checkpoint's manifest — one
     /// timeline layer per layer group, carrying the group's real byte
     /// size — with `total_flops` spread proportionally to group bytes.
+    /// The descriptor is the store's shared one, and holding it is what
+    /// keeps the checkpoint safe from the store's LRU evictor: a name
+    /// stays stored for as long as it is switchable here.
     ///
     /// # Errors
     ///
@@ -304,9 +291,10 @@ impl ModelSwitcher {
     }
 
     /// Drops the switch descriptor registered under `name`, so the name
-    /// is no longer switchable here. Refuses the active model (its pool
-    /// reservation and resident weights hang off the name). Returns
-    /// whether an entry was removed.
+    /// is no longer switchable here and — once no other switcher holds
+    /// it — its checkpoint becomes evictable again. Refuses the active
+    /// model (its pool reservation hangs off the name). Returns whether
+    /// an entry was removed.
     pub fn unregister(&self, name: &str) -> bool {
         let mut inner = self.inner.lock().expect("switcher mutex poisoned");
         inner.active.as_deref() != Some(name) && inner.registry.remove(name).is_some()
@@ -409,29 +397,6 @@ impl ModelSwitcher {
         }
         let report = simulate_switch(&self.gpu, &model, &self.strategy);
         let breakdown = SwitchBreakdown::from_timeline(&report.timeline);
-        // Activate real weights when the store holds this checkpoint:
-        // pin its shared activation layout — group blobs in manifest
-        // order, mirroring the transmit order of the analytic timeline.
-        // Memory was already reserved above, and on the OOM path we
-        // returned before reaching here, so a failed switch never
-        // disturbs the previously resident weights.
-        match inner.store.as_ref().and_then(|s| s.resident_layout(name)) {
-            Some(layout) => {
-                let floats: usize = layout.groups.iter().map(|g| g.len()).sum();
-                inner.resident.name = name.to_owned();
-                inner.resident.layout = layout;
-                if let Some(tel) = &inner.telemetry {
-                    tel.activate_bytes.add((floats * 4) as u64);
-                }
-            }
-            None => {
-                // Descriptor-only model: nothing to pin, and whatever
-                // the resident set held belongs to a no-longer-active
-                // model.
-                inner.resident.name.clear();
-                inner.resident.layout = Arc::default();
-            }
-        }
         inner.active = Some(name.to_owned());
         inner.switch_log.push(SwitchRecord {
             model: name.to_owned(),
@@ -441,6 +406,7 @@ impl ModelSwitcher {
         });
         if let Some(tel) = &inner.telemetry {
             tel.switches.inc();
+            tel.activate_bytes.add(model.total_bytes() as u64);
             tel.latency_ms.observe_ms(report.total_ms);
             tel.transmit_ms.observe_ms(breakdown.transmit_ms);
             tel.compute_ms.observe_ms(breakdown.compute_ms);
@@ -471,55 +437,12 @@ impl ModelSwitcher {
     pub fn switch_count(&self) -> usize {
         self.with_switch_log(|log| log.len())
     }
-
-    /// The name of the model whose weights are currently resident,
-    /// if the last successful switch activated real weights.
-    pub fn resident_model(&self) -> Option<String> {
-        let inner = self.inner.lock().expect("switcher mutex poisoned");
-        if inner.resident.name.is_empty() {
-            None
-        } else {
-            Some(inner.resident.name.clone())
-        }
-    }
-
-    /// Bytes of weight data currently resident.
-    pub fn resident_bytes(&self) -> usize {
-        let inner = self.inner.lock().expect("switcher mutex poisoned");
-        inner.resident.layout.params.iter().map(|(_, _, _, _, len)| len * 4).sum()
-    }
-
-    /// Reconstructs the resident weights as a named state dictionary —
-    /// the tensors a consumer would load to run the active model. They
-    /// are bit-identical to the checkpoint registered in the store:
-    /// activation pins the stored bytes, it does not transform them.
-    ///
-    /// Returns `None` when no weight-bearing model is resident (nothing
-    /// switched yet, or the active model was registered descriptor-only).
-    pub fn resident_state_dict(&self) -> Option<Vec<(String, Tensor)>> {
-        let inner = self.inner.lock().expect("switcher mutex poisoned");
-        if inner.resident.name.is_empty() {
-            return None;
-        }
-        Some(
-            inner
-                .resident
-                .layout
-                .params
-                .iter()
-                .map(|(name, dims, group, offset, len)| {
-                    let blob = &inner.resident.layout.groups[*group];
-                    let data = blob[*offset..*offset + *len].to_vec();
-                    (name.clone(), Tensor::from_vec(data, dims))
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safecross_tensor::Tensor;
 
     fn switcher(strategy: SwitchStrategy) -> ModelSwitcher {
         let s = ModelSwitcher::new(GpuSpec::rtx_2080_ti(), 11_000_000_000, strategy);
@@ -690,24 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn switch_activates_real_weights_in_manifest_order() {
-        let (s, store) = stored_switcher(1 << 20);
-        assert_eq!(s.resident_state_dict(), None);
-        s.switch_to("daytime").unwrap();
-        assert_eq!(s.resident_model().as_deref(), Some("daytime"));
-        assert_eq!(s.resident_bytes(), (64 + 8) * 4);
-        let resident = s.resident_state_dict().expect("weights activated");
-        assert_eq!(resident, store.state_dict("daytime").expect("registered"));
-        s.switch_to("rain").unwrap();
-        let resident = s.resident_state_dict().expect("weights activated");
-        assert_eq!(resident, store.state_dict("rain").expect("registered"));
-        assert_eq!(resident[1].1, Tensor::full(&[8], 5.0));
-    }
-
-    #[test]
     fn stored_descriptor_carries_real_group_sizes() {
         let (s, store) = stored_switcher(1 << 20);
-        let desc = store.model_desc("daytime", 1.0e9).expect("registered");
+        let desc = store.shared_model_desc("daytime", 1.0e9).expect("registered");
         assert_eq!(desc.num_layers(), 2, "one timeline layer per group");
         assert_eq!(desc.layers[0].param_bytes, 64 * 4);
         assert_eq!(desc.layers[1].param_bytes, 8 * 4);
@@ -717,41 +625,6 @@ mod tests {
         } else {
             panic!("expected a switch");
         }
-        assert_eq!(s.resident_bytes(), desc.total_bytes());
-    }
-
-    #[test]
-    fn failed_switch_keeps_previous_weights_resident() {
-        // Pool fits one small model; "huge" is registered with a
-        // descriptor too big to ever fit.
-        let (s, store) = stored_switcher(80 * 4 + 64);
-        s.register("huge", ModelDesc::resnet152());
-        s.switch_to("daytime").unwrap();
-        let before = s.resident_state_dict().expect("weights activated");
-        let err = s.switch_to("huge").unwrap_err();
-        assert!(matches!(err, SwitchError::OutOfMemory { .. }));
-        assert_eq!(s.active().as_deref(), Some("daytime"));
-        assert_eq!(
-            s.resident_state_dict().expect("rollback keeps weights"),
-            before,
-            "failed switch must not disturb resident weights"
-        );
-        assert_eq!(before, store.state_dict("daytime").expect("registered"));
-    }
-
-    #[test]
-    fn descriptor_only_switch_clears_stale_resident_weights() {
-        let (s, _store) = stored_switcher(1 << 30);
-        s.register("synthetic", ModelDesc::inception_v3());
-        s.switch_to("daytime").unwrap();
-        assert!(s.resident_state_dict().is_some());
-        s.switch_to("synthetic").unwrap();
-        assert_eq!(s.active().as_deref(), Some("synthetic"));
-        assert_eq!(
-            s.resident_state_dict(),
-            None,
-            "a descriptor-only model has no weights to expose"
-        );
     }
 
     #[test]
@@ -766,6 +639,29 @@ mod tests {
             snap.counter("switch.activate.bytes"),
             Some((2 * (64 + 8) * 4) as u64),
         );
+    }
+
+    #[test]
+    fn switchable_checkpoint_is_never_evicted() {
+        let (s, store) = stored_switcher(1 << 20);
+        store.pin_model("daytime");
+        s.switch_to("rain").unwrap();
+        s.switch_to("daytime").unwrap();
+        // Daytime's 72 floats plus rain's own head fill the ceiling; one
+        // more checkpoint forces an eviction. Rain is registered here,
+        // so only the newcomer may go.
+        store.set_memory_ceiling(Some((64 + 8 + 8) * 4));
+        let fog = vec![("fog".to_owned(), vec![("fog.w".to_owned(), Tensor::full(&[8], 7.0))])];
+        store.register_model("fog", &fog);
+        assert!(store.contains("rain"), "a switchable checkpoint was evicted");
+        let rain = store.state_dict("rain").expect("switchable checkpoint is stored");
+        assert_eq!(rain[1].1, Tensor::full(&[8], 5.0));
+        assert!(!store.contains("fog"), "the unprotected newcomer went instead");
+        // Unregistering releases the protection: rain is now the LRU.
+        assert!(s.unregister("rain"));
+        store.register_model("fog", &fog);
+        assert!(!store.contains("rain"), "an unswitchable checkpoint stays evictable");
+        assert!(store.contains("fog"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! is materialized (`Layer::set_precision`) and are never stored.
 //!
 //! [`save_grouped`] is the only writer and [`load_grouped`] the only
-//! reader. The version word is 4 because three earlier layouts existed
+//! reader. The version word is 4 because three earlier formats existed
 //! (a flat tensor list, this layout, and this layout followed by a
 //! section of stored int8 copies); no file in any of them was ever
 //! shipped, so the reader rejects them — like any other version word —
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn other_version_words_are_a_typed_error() {
-        // 1, 2 and 3 are the retired layouts; 5 does not exist yet.
+        // 1, 2 and 3 are the retired formats; 5 does not exist yet.
         for version in [0u32, 1, 2, 3, 5] {
             let mut bytes = small_checkpoint("version_word", &[2, 2]);
             bytes[4..8].copy_from_slice(&version.to_le_bytes());

@@ -463,8 +463,10 @@ fn soak_clip(stream: usize, frames: usize, width: usize, height: usize, seed: u6
 /// invariants are checked:
 ///
 /// - store accounting: `logical_bytes == stored_bytes + dedup_bytes`;
-/// - every session's resident model still exists in the store with an
-///   intact manifest;
+/// - every registered scene's bound checkpoint
+///   ([`SafeCross::scene_model_name`](safecross::SafeCross::scene_model_name))
+///   still exists in the store with an intact manifest — what a shard
+///   would load to serve that scene;
 /// - lossless mode only (`shedding == false`): every fed frame
 ///   completed.
 ///
@@ -521,11 +523,13 @@ pub fn run_soak(
         let handles = fleet.handles();
         for (s, handle) in handles.iter().enumerate() {
             let session = handle.session(&fleet);
-            if let Some(name) = session.resident_model() {
+            for weather in session.registered_scenes() {
+                let name = session.scene_model_name(weather).expect("registered scene");
                 if !store.contains(&name) || store.manifest(&name).is_none() {
                     return Err(SoakError::InvariantViolated(format!(
-                        "iteration {}: stream {s} resident model {name:?} missing from store",
-                        report.iterations
+                        "iteration {}: stream {s} {} model {name:?} missing from store",
+                        report.iterations,
+                        weather.label()
                     )));
                 }
             }

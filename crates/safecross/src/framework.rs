@@ -572,7 +572,7 @@ impl SafeCross {
     /// output). The first registered model becomes active.
     ///
     /// The checkpoint is stored in the [`ModelRegistry`] as
-    /// content-addressed layer groups, and the session's resident copy
+    /// content-addressed layer groups, and the session's local replica
     /// is resolved back *through the store* — so the weights this
     /// session classifies with are bit-identical to the stored
     /// checkpoint, and identical groups across weather checkpoints are
@@ -630,7 +630,7 @@ impl SafeCross {
     /// activates it — the continual-learning promotion entry point.
     ///
     /// Returns `Ok(true)` when the challenger was activated (the
-    /// switcher swapped onto its real weights and every later switch
+    /// switcher swapped to its checkpoint and every later switch
     /// onto this scene uses it), or `Ok(false)` when the promotion was
     /// *deferred* without binding anything: the scene is not the one
     /// currently classified, and activating a model the stream is not
@@ -642,7 +642,7 @@ impl SafeCross {
     /// scene or `name` is not in the model store;
     /// [`SwitchError::OutOfMemory`] if activation failed — the
     /// switcher's rollback machinery has already restored the previous
-    /// resident model, no binding is changed and `name` is not left
+    /// active model, no binding is changed and `name` is not left
     /// switchable. After a successful rebind the superseded challenger
     /// (never a base scene label) stops being switchable too.
     pub fn bind_scene_model(&mut self, weather: Weather, name: &str) -> Result<bool, SwitchError> {
@@ -790,19 +790,6 @@ impl SafeCross {
     /// Removes any installed switch fault hook.
     pub fn clear_switch_fault_hook(&self) {
         self.scene_stage.switcher.clear_fault_hook();
-    }
-
-    /// The name of the model whose weights the switcher holds resident,
-    /// if the last successful switch activated real weights.
-    pub fn resident_model(&self) -> Option<String> {
-        self.scene_stage.switcher.resident_model()
-    }
-
-    /// The resident weights as a named state dictionary — bit-identical
-    /// to the stored checkpoint of the active scene model. `None` when
-    /// nothing weight-bearing is resident.
-    pub fn resident_state_dict(&self) -> Option<Vec<(String, Tensor)>> {
-        self.scene_stage.switcher.resident_state_dict()
     }
 
     /// Consumes one camera frame: scene detection (and model switch if

@@ -10,7 +10,7 @@
 //! streams at the top of its serve loop, through
 //! [`SafeCross::bind_scene_model`](safecross::SafeCross::bind_scene_model)
 //! (which rides the switcher's existing OOM-rollback machinery, so a
-//! failed activation leaves the incumbent resident).
+//! failed activation leaves the incumbent active).
 //!
 //! Division of labor: this module is only the *seam* — the concrete
 //! harvester/trainer/canary subsystem lives in `safecross-learn`, which
@@ -61,8 +61,8 @@ pub struct Promotion {
 /// How a queued [`Promotion`] fared when its shard applied it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PromotionOutcome {
-    /// The challenger's weights are resident and every later switch
-    /// onto its scene activates it.
+    /// The challenger is active and every later switch onto its scene
+    /// activates it.
     Activated,
     /// Activation failed (the switcher reported OOM) and the rollback
     /// machinery restored the incumbent completely.

@@ -123,8 +123,9 @@ impl<'a> ShardCompute<'a> {
     /// deterministic in the weight bits, so every shard's int8 replica
     /// of one checkpoint is bit-identical to every other's; these are
     /// the only int8 weights anywhere — none are stored. A promoted
-    /// checkpoint missing from the store (evicted after its last user
-    /// unpinned it) deterministically falls back to the base scene
+    /// checkpoint is never evicted while some session can switch to it,
+    /// so a batch for it finds it stored; should it be missing anyway,
+    /// the replica deterministically falls back to the base scene
     /// weights. `None` only when `weather` has no shared model.
     fn ensure_replica(
         &mut self,

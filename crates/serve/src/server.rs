@@ -384,13 +384,14 @@ impl FleetServer {
         }
         // The checkpoint lands in the fleet store first, and the shared
         // inference copy is resolved back out of it — so the weights the
-        // shards run are bit-identical to the blobs every session's
-        // switcher activates.
+        // shards run are bit-identical to the stored checkpoint every
+        // session's switcher derives its transfer descriptor from.
         self.model_store
             .register_model(weather.label(), &model.state_groups());
         // Base scene checkpoints are the fleet's bedrock: pin them so
         // continual-learning churn under a store memory ceiling can
-        // never evict them.
+        // never evict them. A session's switcher protects only the
+        // checkpoints it can switch to, and only while it is open.
         self.model_store.pin_model(weather.label());
         let state = self
             .model_store

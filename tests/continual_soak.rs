@@ -4,9 +4,9 @@
 //! deliberately tight store ceiling. Generations of challengers churn
 //! through the registry; the LRU evictor must keep reclaiming retired
 //! checkpoints so that (1) eviction actually fires, (2) the pinned
-//! base checkpoints survive untouched, (3) the store accounting stays
-//! exact, and (4) the whole process never crosses the live-memory
-//! high-water ceiling. The file holds a single test: the allocator
+//! base checkpoints and every checkpoint a stream's scene is bound to
+//! survive, (3) the store accounting stays exact, and (4) the whole
+//! process never crosses the live-memory high-water ceiling. The file holds a single test: the allocator
 //! counters are process-global.
 
 use safecross::SafeCrossConfig;
@@ -151,6 +151,20 @@ fn challenger_churn_stays_bounded_under_the_lru_evictor() {
             (FRAMES * streams) as u64,
             "round {round} lost frames under challenger churn"
         );
+        // Whatever each stream's scenes are bound to — a base label or a
+        // promoted challenger, current scene or not — is still stored:
+        // the evictor never takes a checkpoint a stream can switch to.
+        for (s, handle) in fleet.handles().iter().enumerate() {
+            let session = handle.session(&fleet);
+            for weather in session.registered_scenes() {
+                let name = session.scene_model_name(weather).expect("registered scene");
+                assert!(
+                    store.state_dict(&name).is_some(),
+                    "round {round}: stream {s} {} checkpoint {name:?} was evicted",
+                    weather.label()
+                );
+            }
+        }
     }
 
     let stats = learner.stats();
