@@ -73,6 +73,12 @@ fn out_extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
 /// `[C*kt*ks*ks, oT*oH*oW]` patch matrix written into `out`, without
 /// allocating.
 ///
+/// Pure data movement, written in runs: per patch row `(c, kt, ky, kx)`
+/// the in-frame output columns `[lo, hi)` are found once, so every output
+/// row is two zero runs around one copied interior (`copy_from_slice` at
+/// stride 1, a strided gather otherwise), and padded frames and rows are
+/// zero-filled whole. Every element of `out` is written.
+///
 /// # Panics
 ///
 /// Panics if `data` or `out` lengths disagree with the geometry.
@@ -83,42 +89,59 @@ pub fn vol2col_into(data: &[f32], g: &Conv3dGeom, out: &mut [f32]) {
         "vol2col input length mismatch"
     );
     let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
-    let cols = ot * oh * ow;
+    let plane = oh * ow;
+    let cols = ot * plane;
     let rows = g.patch_len();
     assert_eq!(out.len(), rows * cols, "vol2col output length mismatch");
+    let (s, p) = (g.stride_s, g.pad_s);
     let hw = g.height * g.width;
     let thw = g.frames * hw;
-    let mut row = 0;
+    // The first output index `o` whose input coordinate `o·s + tap − p`
+    // is at least `edge`, clamped to `ow`.
+    let first_reaching = |edge: usize, tap: usize| {
+        if tap >= edge + p {
+            0
+        } else {
+            (edge + p - tap).div_ceil(s).min(ow)
+        }
+    };
+    let mut rows_out = out.chunks_exact_mut(cols);
     for c in 0..g.in_channels {
         for kt in 0..g.kernel_t {
             for ky in 0..g.kernel_s {
                 for kx in 0..g.kernel_s {
-                    let base = row * cols;
-                    for oti in 0..ot {
-                        let it = (oti * g.stride_t + kt) as isize - g.pad_t as isize;
-                        let t_ok = it >= 0 && it < g.frames as isize;
-                        for oy in 0..oh {
-                            let iy = (oy * g.stride_s + ky) as isize - g.pad_s as isize;
-                            let y_ok = iy >= 0 && iy < g.height as isize;
-                            for ox in 0..ow {
-                                let ix = (ox * g.stride_s + kx) as isize - g.pad_s as isize;
-                                let v = if t_ok
-                                    && y_ok
-                                    && ix >= 0
-                                    && ix < g.width as isize
-                                {
-                                    data[c * thw
-                                        + it as usize * hw
-                                        + iy as usize * g.width
-                                        + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                                out[base + oti * oh * ow + oy * ow + ox] = v;
+                    let dst = rows_out.next().expect("one output row per patch row");
+                    // In-frame output columns: `0 <= ox·s + kx − p < W`.
+                    let (lo, hi) = (first_reaching(0, kx), first_reaching(g.width, kx));
+                    for (oti, frame_out) in dst.chunks_exact_mut(plane).enumerate() {
+                        let it = (oti * g.stride_t + kt).checked_sub(g.pad_t);
+                        let Some(it) = it.filter(|&it| it < g.frames) else {
+                            frame_out.fill(0.0);
+                            continue;
+                        };
+                        for (oy, seg) in frame_out.chunks_exact_mut(ow).enumerate() {
+                            let iy = (oy * s + ky).checked_sub(p);
+                            let Some(iy) = iy.filter(|&iy| iy < g.height) else {
+                                seg.fill(0.0);
+                                continue;
+                            };
+                            seg[..lo].fill(0.0);
+                            seg[hi..].fill(0.0);
+                            if lo == hi {
+                                continue;
+                            }
+                            let row_in = c * thw + it * hw + iy * g.width;
+                            let src = &data[row_in + lo * s + kx - p..row_in + g.width];
+                            let run = &mut seg[lo..hi];
+                            if s == 1 {
+                                run.copy_from_slice(&src[..run.len()]);
+                            } else {
+                                for (o, &v) in run.iter_mut().zip(src.iter().step_by(s)) {
+                                    *o = v;
+                                }
                             }
                         }
                     }
-                    row += 1;
                 }
             }
         }
@@ -177,6 +200,53 @@ pub fn col2vol(cols_t: &Tensor, g: &Conv3dGeom) -> Tensor {
         }
     }
     out
+}
+
+/// A per-element lowering, every output element bounds-tested and
+/// indexed on its own: the bit-exact reference [`vol2col_into`]'s row
+/// runs are tested against.
+#[cfg(test)]
+pub(crate) fn vol2col_reference_into(data: &[f32], g: &Conv3dGeom, out: &mut [f32]) {
+    let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
+    let cols = ot * oh * ow;
+    assert_eq!(
+        out.len(),
+        g.patch_len() * cols,
+        "vol2col output length mismatch"
+    );
+    let hw = g.height * g.width;
+    let thw = g.frames * hw;
+    let mut row = 0;
+    for c in 0..g.in_channels {
+        for kt in 0..g.kernel_t {
+            for ky in 0..g.kernel_s {
+                for kx in 0..g.kernel_s {
+                    let base = row * cols;
+                    for oti in 0..ot {
+                        let it = (oti * g.stride_t + kt) as isize - g.pad_t as isize;
+                        let t_ok = it >= 0 && it < g.frames as isize;
+                        for oy in 0..oh {
+                            let iy = (oy * g.stride_s + ky) as isize - g.pad_s as isize;
+                            let y_ok = iy >= 0 && iy < g.height as isize;
+                            for ox in 0..ow {
+                                let ix = (ox * g.stride_s + kx) as isize - g.pad_s as isize;
+                                let v = if t_ok && y_ok && ix >= 0 && ix < g.width as isize {
+                                    data[c * thw
+                                        + it as usize * hw
+                                        + iy as usize * g.width
+                                        + ix as usize]
+                                } else {
+                                    0.0
+                                };
+                                out[base + oti * oh * ow + oy * ow + ox] = v;
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -24,9 +24,11 @@
 //!
 //! The thread count ([`threads`]) is resolved on first use: the
 //! `SAFECROSS_KERNEL_THREADS` environment variable when set, otherwise
-//! the host's available parallelism; [`set_threads`] overrides it. `1`
-//! reproduces the exact serial code path (no worker pool is spun up at
-//! all).
+//! the host's available parallelism; [`set_threads`] overrides it. It
+//! caps the workers of GEMMs of at least 2²⁴ flops; smaller GEMMs —
+//! every classifier GEMM on the frame path — run on the caller's thread,
+//! because a thread spawn costs more than it saves there. `1` never
+//! spins up a worker at all.
 //!
 //! The instruction set ([`isa`]) is resolved the same way: detected
 //! once ([`Isa::detect`]) unless `SAFECROSS_KERNEL_ISA` or [`set_isa`]
@@ -329,9 +331,19 @@ impl KernelScratch {
 // GEMM kernels
 // ---------------------------------------------------------------------
 
-/// Below this many flops (`2·m·k·n`) a GEMM runs serially even when more
-/// workers are configured — thread spin-up would dominate.
-const MIN_PARALLEL_FLOPS: usize = 1 << 18;
+/// Below this many flops (`2·m·k·n`) the process-wide entry points
+/// ([`gemm_into`], [`gemm_transb_into`] and the `qgemm_*` kernels) run a
+/// GEMM on the caller's thread even when more workers are configured.
+/// A scoped spawn + join costs 25–55 µs per call on a 2-vCPU host, and
+/// two workers were slower than one there up to 16.6 M flops, breaking
+/// even only at 118 M (DESIGN §9 has the table). So every classifier
+/// GEMM on the frame path (the largest, C3D's `conv2`, is 11.1 M flops
+/// per clip) stays serial; serving parallelism is the shards', one
+/// forward per core. The only GEMMs above the bar are the
+/// `YoloProfile::Paper` detector's convs, 44–88 M flops per frame at
+/// 160×120 in both training and inference; there two workers ran Table
+/// II's YOLO 1.4× faster than one, so they still fan out.
+const MIN_PARALLEL_FLOPS: usize = 1 << 24;
 
 /// Column-block width for the inner accumulation loops: one `b` panel of
 /// `k × COL_BLOCK` f32 stays resident in L2 while a row block streams
@@ -479,31 +491,36 @@ where
         }
         // Join rather than let the scope's end wait: that only waits for
         // the closures to return, and a worker still tearing down holds
-        // its malloc arena. A serving shard that exits before such a
-        // straggler gets a different arena on the next run and the freed
-        // frames in its old one stay resident (DESIGN §9).
+        // its malloc arena. A caller that exits before such a straggler
+        // gets a different arena on its next run and the freed memory in
+        // its old one stays resident (DESIGN §9).
         for worker in workers {
             worker.join().expect("GEMM worker panicked");
         }
     });
 }
 
+/// The worker count for a GEMM issued through a process-wide entry
+/// point: `threads` (capped at `m·n`) once the GEMM clears
+/// [`MIN_PARALLEL_FLOPS`], otherwise 1.
 pub(crate) fn effective_workers(m: usize, k: usize, n: usize, threads: usize) -> usize {
     let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-    if threads <= 1 || flops < MIN_PARALLEL_FLOPS {
+    if flops < MIN_PARALLEL_FLOPS {
         1
     } else {
         threads.min(m * n)
     }
 }
 
-/// `[m, k] × [k, n] → [m, n]`, overwriting `out`, with an explicit
-/// worker count. Results are bit-identical for every `threads` value.
+/// `[m, k] × [k, n] → [m, n]`, overwriting `out`, on exactly `threads`
+/// workers (capped at `m·n`) whatever the GEMM's size: the serial bar
+/// of 2²⁴ flops applies only to [`gemm_into`]. Results are bit-identical
+/// for every `threads` value.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
-pub fn gemm_into_with_threads(
+pub(crate) fn gemm_into_with_threads(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -515,21 +532,21 @@ pub fn gemm_into_with_threads(
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
-    let workers = effective_workers(m, k, n, threads);
     let active_isa = isa();
-    partition_out(out, m, n, workers, |chunk, start| {
+    partition_out(out, m, n, threads.min(m * n), |chunk, start| {
         gemm_flat_range(a, b, chunk, start, k, n, active_isa);
     });
 }
 
-/// `[m, k] × [n, k]ᵀ → [m, n]`, overwriting `out`, with an explicit
-/// worker count. Bit-identical to `a.matmul(&b.transpose())` for finite
-/// inputs and for every `threads` value.
+/// `[m, k] × [n, k]ᵀ → [m, n]`, overwriting `out`, on exactly `threads`
+/// workers (capped at `m·n`) whatever the GEMM's size. Bit-identical to
+/// `a.matmul(&b.transpose())` for finite inputs and for every `threads`
+/// value.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
-pub fn gemm_transb_into_with_threads(
+pub(crate) fn gemm_transb_into_with_threads(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -541,25 +558,26 @@ pub fn gemm_transb_into_with_threads(
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
-    let workers = effective_workers(m, k, n, threads);
-    partition_out(out, m, n, workers, |chunk, start| {
+    partition_out(out, m, n, threads.min(m * n), |chunk, start| {
         gemm_transb_flat_range(a, b, chunk, start, k, n);
     });
 }
 
 /// `[m, k] × [k, n] → [m, n]`, overwriting `out`, using the process-wide
-/// thread setting and reporting to registered observers.
+/// thread setting and reporting to registered observers. A GEMM below
+/// 2²⁴ flops runs on the caller's thread whatever that setting is.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let workers = effective_workers(m, k, n, threads());
     if !observers_active() {
-        gemm_into_with_threads(a, b, out, m, k, n, threads());
+        gemm_into_with_threads(a, b, out, m, k, n, workers);
         return;
     }
     let t0 = Instant::now();
-    gemm_into_with_threads(a, b, out, m, k, n, threads());
+    gemm_into_with_threads(a, b, out, m, k, n, workers);
     observe(&GemmSample {
         m,
         k,
@@ -569,18 +587,21 @@ pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 }
 
 /// `[m, k] × [n, k]ᵀ → [m, n]`, overwriting `out`, using the
-/// process-wide thread setting and reporting to registered observers.
+/// process-wide thread setting and reporting to registered observers. A
+/// GEMM below 2²⁴ flops runs on the caller's thread whatever that
+/// setting is.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_transb_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let workers = effective_workers(m, k, n, threads());
     if !observers_active() {
-        gemm_transb_into_with_threads(a, b, out, m, k, n, threads());
+        gemm_transb_into_with_threads(a, b, out, m, k, n, workers);
         return;
     }
     let t0 = Instant::now();
-    gemm_transb_into_with_threads(a, b, out, m, k, n, threads());
+    gemm_transb_into_with_threads(a, b, out, m, k, n, workers);
     observe(&GemmSample {
         m,
         k,
@@ -649,7 +670,7 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_bits() {
-        // Big enough to clear MIN_PARALLEL_FLOPS so workers really spawn.
+        // An explicit count partitions at any size, so workers spawn.
         let (m, k, n) = (16, 64, 160);
         let (a, b) = random_case(7, m, k, n, 0.3);
         let mut expect = vec![0.0f32; m * n];
@@ -671,6 +692,17 @@ mod tests {
         let mut out = vec![f32::NAN; m * n];
         gemm_into_with_threads(&a, &b, &mut out, m, k, n, 8);
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn frame_path_gemms_stay_on_the_callers_thread() {
+        // C3D's conv2, the largest classifier GEMM per clip (11.1 M
+        // flops), runs serially at any configured count; a 34 M-flop
+        // GEMM fans out, capped at its output size.
+        assert_eq!(effective_workers(16, 216, 1600, 8), 1);
+        assert_eq!(effective_workers(16, 324, 3300, 8), 8);
+        assert_eq!(effective_workers(1, 1 << 24, 2, 8), 2);
+        assert_eq!(effective_workers(16, 324, 3300, 1), 1);
     }
 
     #[test]

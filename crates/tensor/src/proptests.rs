@@ -1,5 +1,6 @@
 //! Property-based tests over the tensor core.
 
+use crate::conv::vol2col_reference_into;
 use crate::{col2vol, vol2col_into, Conv3dGeom, Tensor};
 use proptest::prelude::*;
 
@@ -210,5 +211,51 @@ proptest! {
             }
         }
         prop_assert_eq!(t.transpose(), a);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn vol2col_row_runs_match_per_element_reference(
+        seed in 0u64..1000,
+        c in 1usize..3, t in 1usize..5, h in 1usize..8, w in 1usize..8,
+        kt in 1usize..4, st in 1usize..4, pt in 0usize..3,
+        k in 1usize..5, s in 1usize..6, p in 0usize..4,
+        corner in 0usize..4,
+    ) {
+        // The row-run lowering against the per-element reference, bit
+        // for bit. The ranges reach pad >= kernel and stride > kernel
+        // on their own; `corner` forces the remaining edge cases.
+        let (mut t, mut kt, mut st, mut pt, mut h, mut k) = (t, kt, st, pt, h, k);
+        match corner {
+            // The 2-D (im2col) geometry: one frame, no temporal extent.
+            0 => (t, kt, st, pt) = (1, 1, 1, 0),
+            // Spatial kernel = padded width: one output column.
+            1 => { k = w + 2 * p; h = h.max(w); }
+            // Temporal kernel = padded frame count: one output frame.
+            2 => kt = t + 2 * pt,
+            _ => {}
+        }
+        // Otherwise grow the input until the kernel fits its padded extent.
+        t = t.max(kt.saturating_sub(2 * pt));
+        h = h.max(k.saturating_sub(2 * p));
+        let w = w.max(k.saturating_sub(2 * p));
+        let g = Conv3dGeom {
+            in_channels: c, frames: t, height: h, width: w,
+            kernel_t: kt, kernel_s: k, stride_t: st, stride_s: s, pad_t: pt, pad_s: p,
+        };
+        let mut rng = crate::TensorRng::seed_from(seed);
+        let x = rng.uniform(&[c, t, h, w], -1.0, 1.0);
+        let len = g.patch_len() * g.out_frames() * g.out_height() * g.out_width();
+        let mut expect = vec![f32::NAN; len];
+        vol2col_reference_into(x.data(), &g, &mut expect);
+        // NaN-prefilled, like a recycled scratch buffer: every element,
+        // padding zeros included, must be overwritten.
+        let mut out = vec![f32::NAN; len];
+        vol2col_into(x.data(), &g, &mut out);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert!(bits(&out) == bits(&expect), "row runs differ at {:?}", g);
     }
 }

@@ -354,21 +354,23 @@ pub fn qgemm_paired_into(
     let isa = kernel::isa();
     let workers = kernel::effective_workers(m, k, n, kernel::threads());
     kernel::partition_out(out, m, n, workers, |chunk, start| {
-        let mut acc: Vec<i32> = Vec::new();
+        // A fixed stack tile of column sums: integer sums are per column,
+        // so walking a row in tiles changes no bit and allocates nothing.
+        let mut tile = [0i32; JBLOCK];
         let end = start + chunk.len();
         let mut pos = start;
         while pos < end {
             let i = pos / n;
             let j0 = pos - i * n;
-            let j1 = n.min(j0 + (end - pos));
-            acc.clear();
-            acc.resize(j1 - j0, 0);
+            let j1 = n.min(j0 + (end - pos)).min(j0 + JBLOCK);
+            let acc = &mut tile[..j1 - j0];
+            acc.fill(0);
             // One register-blocked sweep over the whole reduction: the
             // accumulators never round-trip through memory per pair.
-            simd::qgemm_row(isa, &a[i * k..(i + 1) * k], bpanel, n, j0, &mut acc);
+            simd::qgemm_row(isa, &a[i * k..(i + 1) * k], bpanel, n, j0, acc);
             let sa = a_scales[i];
             let oseg = &mut chunk[pos - start..pos - start + (j1 - j0)];
-            for ((o, &sb), &v) in oseg.iter_mut().zip(&b_scales[j0..j1]).zip(&acc) {
+            for ((o, &sb), &v) in oseg.iter_mut().zip(&b_scales[j0..j1]).zip(acc.iter()) {
                 *o = sa * sb * v as f32;
             }
             pos += j1 - j0;
@@ -541,7 +543,16 @@ mod tests {
         let mut rng = TensorRng::seed_from(10);
         let detected = Isa::detect();
         let threads = kernel::threads();
-        for (m, k, n) in [(4usize, 27usize, 320usize), (8, 9, 40), (16, 324, 100), (1, 1, 1)] {
+        // (16, 324, 3300) is 34 M flops: above the serial bar, so the
+        // four-worker arm really partitions, and each row spans many
+        // accumulator tiles.
+        for (m, k, n) in [
+            (4usize, 27usize, 320usize),
+            (8, 9, 40),
+            (16, 324, 100),
+            (1, 1, 1),
+            (16, 324, 3300),
+        ] {
             let w = rng.uniform(&[m, k], -1.5, 1.5);
             let cols = rng.uniform(&[k, n], -2.0, 2.0);
             let qw = QTensor::quantize_rows(&w);

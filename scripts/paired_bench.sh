@@ -5,14 +5,17 @@
 # `e2e` binaries are built once with the command of BENCHMARK.json, and
 # each pair runs both sides on one seed (7, 8, ...), alternating which
 # side goes first. Prints every pair's change/parent ratio for the six
-# end-to-end metrics, then both sides' medians and quartiles and how many
-# pairs the change won.
+# end-to-end metrics, then per metric both sides' medians and quartiles,
+# how many pairs the change won, the exact two-sided sign-test p-value
+# over the decided (non-tied) pairs, and `claim-ready yes` when the change
+# won at least nine in ten pairs and its median moved by more than the
+# parent's interquartile range.
 #
 #   scripts/paired_bench.sh <parent-rev> <workload> [pairs=10] [seconds=16]
 #
 # The scratch directory is made under ${TMPDIR:-/tmp} and removed on exit.
 set -eu
-[ $# -ge 2 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
 rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-16}
 change=$(cd "$(dirname "$0")/.." && pwd)
 parent=$(mktemp -d "${TMPDIR:-/tmp}/safecross-parent.XXXXXX")
@@ -62,6 +65,15 @@ awk '
     pos = 1 + (n - 1) * q; lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
   }
+  # Exact two-sided sign-test p-value of w wins among d decided pairs.
+  function sign_p(w, d,    lo, i, c, tail) {
+    if (d == 0) return 1
+    lo = w < d - w ? w : d - w
+    c = 1; tail = 0
+    for (i = 0; i <= lo; i++) { tail += c; c = c * (d - i) / (i + 1) }
+    tail = 2 * tail / 2 ^ d
+    return tail > 1 ? 1 : tail
+  }
   BEGIN {
     nm = split("frames_per_s frame_age_mean_ms delivered_share healthy_delivered_share peak_rss_mb setup_s", names, " ")
     split("1 0 1 1 0 0", higher, " ")
@@ -87,8 +99,11 @@ awk '
     for (m = 1; m <= nm; m++) {
       for (s = 1; s <= ns; s++) { pv[s] = val["parent", seeds[s], m]; cv[s] = val["change", seeds[s], m] }
       pm = quantile(pv, ns, 0.5); cm = quantile(cv, ns, 0.5)
-      printf "%-24s parent %10.4f [%10.4f, %10.4f]  change %10.4f [%10.4f, %10.4f]  ratio of medians %.3f  change better in %d of %d (%d ties)\n",
-        names[m], pm, quantile(pv, ns, 0.25), quantile(pv, ns, 0.75),
-        cm, quantile(cv, ns, 0.25), quantile(cv, ns, 0.75), cm / pm, wins[m], ns, ns - decided[m]
+      pq1 = quantile(pv, ns, 0.25); pq3 = quantile(pv, ns, 0.75)
+      gap = cm - pm; if (gap < 0) gap = -gap
+      ready = 10 * wins[m] >= 9 * ns && gap > pq3 - pq1 ? "yes" : "no"
+      printf "%-24s parent %10.4f [%10.4f, %10.4f]  change %10.4f [%10.4f, %10.4f]  ratio of medians %.3f  change better in %d of %d (%d ties)  sign-test p %.4f  claim-ready %s\n",
+        names[m], pm, pq1, pq3, cm, quantile(cv, ns, 0.25), quantile(cv, ns, 0.75), cm / pm,
+        wins[m], ns, ns - decided[m], sign_p(wins[m], decided[m]), ready
     }
   }' "$out"

@@ -154,9 +154,12 @@ fn chaos_soak_stays_under_the_memory_ceiling_with_zero_steady_state_allocs() {
     }
 
     // Steady-state classify is still allocation-free after all that
-    // chaos (serial kernel path; scoped GEMM workers would allocate
-    // stacks). Mirrors tests/kernel_alloc.rs, post-soak.
-    kernel::set_threads(1);
+    // chaos. Frame-path GEMMs sit below the kernel's serial bar, so they
+    // run on the caller's thread whatever the worker count; configure
+    // more workers than this suite's hosts have, so a spawned worker
+    // would allocate and fail the count. Mirrors tests/kernel_alloc.rs,
+    // post-soak.
+    kernel::set_threads(8);
     let mut rng = TensorRng::seed_from(23);
     let mut model = SlowFastLite::new(2, &mut rng);
     let clip = rng.uniform(&[1, 8, 20, 20], 0.0, 1.0);

@@ -89,6 +89,12 @@ fn int8_logits_track_f32_within_family_tiers() {
 /// The int8 forward is integer-exact, so its logits must be
 /// bit-identical across instruction sets and thread counts — the same
 /// invariance contract the f32 path has, just at the quantized level.
+///
+/// Every SlowFast GEMM here is below the kernel's serial bar (2²⁴
+/// flops), so the `workers = 4` arm runs on one thread and only the ISA
+/// arm varies the arithmetic. The partition half of the contract is
+/// carried by `qgemm_paired_matches_transb_across_threads_and_isa` in
+/// `safecross-tensor`, whose 34 M-flop shape does split across workers.
 #[test]
 fn int8_logits_are_isa_and_thread_invariant() {
     let mut rng = TensorRng::seed_from(13);
