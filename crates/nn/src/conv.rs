@@ -2,8 +2,8 @@
 
 use crate::{Layer, Mode, Param};
 use safecross_tensor::{
-    col2vol, kernel, qtensor, vol2col_into, Conv3dGeom, KernelScratch, Precision, QTensor, Tensor,
-    TensorRng,
+    col2vol, kernel, qtensor, vol2col_cols_into, vol2col_into, Conv3dGeom, GridPlan, KernelScratch,
+    Precision, QTensor, Tensor, TensorRng,
 };
 
 /// The lowered convolution both public layers drive: weights, caches and
@@ -88,6 +88,35 @@ impl ConvCore {
         scratch.recycle(cscales);
     }
 
+    /// Multiplies a lowered `[patch, n]` panel into `out` (`[out_c, n]`)
+    /// and adds the bias: int8 when that precision is selected and the
+    /// pass is eval, f32 otherwise. Each output column depends only on
+    /// its own panel column, at either precision, so a panel of any
+    /// subset of columns yields those columns' dense values bit for bit.
+    fn multiply(
+        &self,
+        cols: &[f32],
+        out: &mut [f32],
+        n: usize,
+        mode: Mode,
+        scratch: &mut KernelScratch,
+    ) {
+        let patch = self.template.patch_len();
+        match (&self.qweight, mode) {
+            // Int8 inference path; training stays f32.
+            (Some(qw), Mode::Eval) => self.gemm_int8_cols(qw, cols, out, patch, n, scratch),
+            _ => {
+                let w = self.weight.value.data();
+                kernel::gemm_into(w, cols, out, self.out_channels, patch, n)
+            }
+        }
+        for (row, &bc) in out.chunks_exact_mut(n).zip(self.bias.value.data()) {
+            for v in row {
+                *v += bc;
+            }
+        }
+    }
+
     /// Convolves the `n` items of `x` (row-major `[n, C, T, H, W]` data
     /// matching `g`) into a pooled `[n, out_c, oT, oH, oW]` tensor.
     fn convolve(
@@ -108,30 +137,10 @@ impl ConvCore {
         }
         let mut out = scratch.take_tensor(&[n, self.out_channels, ot, oh, ow]);
         let mut cols = scratch.take(patch * plane);
-        let b = self.bias.value.data();
-        for i in 0..n {
-            vol2col_into(&x.data()[i * cthw..(i + 1) * cthw], &g, &mut cols);
-            let oseg = &mut out.data_mut()
-                [i * self.out_channels * plane..(i + 1) * self.out_channels * plane];
-            match (&self.qweight, mode) {
-                // Int8 inference path; training stays f32.
-                (Some(qw), Mode::Eval) => {
-                    self.gemm_int8_cols(qw, &cols, oseg, patch, plane, scratch)
-                }
-                _ => kernel::gemm_into(
-                    self.weight.value.data(),
-                    &cols,
-                    oseg,
-                    self.out_channels,
-                    patch,
-                    plane,
-                ),
-            }
-            for (c, &bc) in b.iter().enumerate() {
-                for v in &mut oseg[c * plane..(c + 1) * plane] {
-                    *v += bc;
-                }
-            }
+        let outs = out.data_mut().chunks_exact_mut(self.out_channels * plane);
+        for (item, oseg) in x.data().chunks_exact(cthw).zip(outs) {
+            vol2col_into(item, &g, &mut cols);
+            self.multiply(&cols, oseg, plane, mode, scratch);
             if mode == Mode::Train {
                 self.cached_cols
                     .push(Tensor::from_vec(cols.clone(), &[patch, plane]));
@@ -335,6 +344,57 @@ impl Conv3d {
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.core.out_channels
+    }
+
+    /// The eval forward of batch item `item` of `x` over an occupancy
+    /// plan. `plan` is the plan of `x`'s `[T, H, W]` grid; the output's
+    /// plan is derived into `out_plan`, and only the positions its
+    /// [`GridPlan::columns`] lists are lowered and multiplied, into a
+    /// compact `[1, out_c, columns]` tensor for [`GridPlan::scatter`].
+    /// When every output position is active the result is instead the
+    /// dense `[1, out_c, oT, oH, oW]` output itself, lowered with
+    /// [`vol2col_into`] and multiplied straight into place. Either way
+    /// every value is bit-identical to the matching element of
+    /// `forward_scratch(x, Mode::Eval, ..)`, at either precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[N, C, T, H, W]` with this layer's `C`, if
+    /// `item` is out of range, or if `plan` is not of `x`'s grid.
+    pub fn forward_planned(
+        &self,
+        x: &Tensor,
+        item: usize,
+        plan: &GridPlan,
+        out_plan: &mut GridPlan,
+        scratch: &mut KernelScratch,
+    ) -> Tensor {
+        assert_eq!(x.shape().ndim(), 5, "Conv3d expects [N, C, T, H, W]");
+        let s = x.shape();
+        let g = self.core.geometry(s.dim(2), s.dim(3), s.dim(4));
+        assert_eq!(s.dim(1), g.in_channels, "convolution channel mismatch");
+        let cthw = x.len() / s.dim(0);
+        let data = &x.data()[item * cthw..(item + 1) * cthw];
+        plan.conv_into(&g, out_plan);
+        let cols = out_plan.columns();
+        let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
+        let n = cols.map_or(ot * oh * ow, <[u32]>::len);
+        let oc = self.core.out_channels;
+        let mut panel = scratch.take(g.patch_len() * n);
+        let mut out = match cols {
+            Some(cols) => {
+                vol2col_cols_into(data, &g, cols, &mut panel);
+                scratch.take_tensor(&[1, oc, n])
+            }
+            None => {
+                vol2col_into(data, &g, &mut panel);
+                scratch.take_tensor(&[1, oc, ot, oh, ow])
+            }
+        };
+        self.core
+            .multiply(&panel, out.data_mut(), n, Mode::Eval, scratch);
+        scratch.recycle(panel);
+        out
     }
 }
 

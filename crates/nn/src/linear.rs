@@ -50,16 +50,6 @@ impl Linear {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The int8 product `x Wᵀ`: quantize the `[n, in]` input per row and
     /// run the integer GEMM against the cached quantized weight.
     fn gemm_int8(&self, qw: &QTensor, x: &Tensor, y: &mut [f32], scratch: &mut KernelScratch) {

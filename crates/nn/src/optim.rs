@@ -76,12 +76,6 @@ impl Sgd {
     pub fn lr(&self) -> f32 {
         self.lr
     }
-
-    /// Changes the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 impl Optimizer for Sgd {
@@ -143,12 +137,6 @@ impl Adam {
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Changes the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 

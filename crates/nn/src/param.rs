@@ -77,7 +77,7 @@ impl Param {
     }
 
     /// Whether gradient storage has been allocated.
-    pub fn has_grad(&self) -> bool {
+    pub(crate) fn has_grad(&self) -> bool {
         self.grad.is_some()
     }
 

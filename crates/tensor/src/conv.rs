@@ -148,6 +148,74 @@ pub fn vol2col_into(data: &[f32], g: &Conv3dGeom, out: &mut [f32]) {
     }
 }
 
+/// Lowers only the output positions `cols` of a `[C, T, H, W]` clip into
+/// a `[C*kt*ks*ks, cols.len()]` patch matrix written into `out`. A
+/// position is a flat `(ot, oy, ox)` index into the `oT × oH × oW`
+/// output grid; column `j` holds position `cols[j]`'s receptive field in
+/// [`vol2col_into`]'s row order, so lowering every position in order
+/// reproduces [`vol2col_into`] bit for bit. Per column, the taps inside
+/// the clip are found once per axis and copied in runs; the rest are the
+/// zero padding.
+///
+/// # Panics
+///
+/// Panics if `data` or `out` lengths disagree with the geometry, or if a
+/// position lies outside the output grid.
+pub fn vol2col_cols_into(data: &[f32], g: &Conv3dGeom, cols: &[u32], out: &mut [f32]) {
+    assert_eq!(
+        data.len(),
+        g.in_channels * g.frames * g.height * g.width,
+        "vol2col input length mismatch"
+    );
+    let n = cols.len();
+    assert_eq!(
+        out.len(),
+        g.patch_len() * n,
+        "vol2col output length mismatch"
+    );
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let positions = g.out_frames() * oh * ow;
+    let (kt, ks, w) = (g.kernel_t, g.kernel_s, g.width);
+    let hw = g.height * w;
+    // The taps `d` of a window starting at padded coordinate `first`
+    // that land inside an axis of `extent` cells padded by `pad`.
+    let taps = |first: usize, kernel: usize, pad: usize, extent: usize| {
+        pad.saturating_sub(first)..(extent + pad).saturating_sub(first).min(kernel)
+    };
+    for (j, &pos) in cols.iter().enumerate() {
+        let pos = pos as usize;
+        assert!(
+            pos < positions,
+            "output position {pos} outside the {positions}-position grid"
+        );
+        let t0 = pos / (oh * ow) * g.stride_t;
+        let (y0, x0) = (pos / ow % oh * g.stride_s, pos % ow * g.stride_s);
+        let ts = taps(t0, kt, g.pad_t, g.frames);
+        let (ys, xs) = (taps(y0, ks, g.pad_s, g.height), taps(x0, ks, g.pad_s, w));
+        // Walk column j down the patch rows, `n` apart.
+        let mut r = j;
+        let mut put = |v: f32| {
+            out[r] = v;
+            r += n;
+        };
+        for frames in data.chunks_exact(g.frames * hw) {
+            for dt in 0..kt {
+                for dy in 0..ks {
+                    if !(ts.contains(&dt) && ys.contains(&dy) && !xs.is_empty()) {
+                        (0..ks).for_each(|_| put(0.0));
+                        continue;
+                    }
+                    let row = (t0 + dt - g.pad_t) * hw + (y0 + dy - g.pad_s) * w + x0;
+                    (0..xs.start).for_each(|_| put(0.0));
+                    let run = &frames[row + xs.start - g.pad_s..row + xs.end - g.pad_s];
+                    run.iter().for_each(|&v| put(v));
+                    (xs.end..ks).for_each(|_| put(0.0));
+                }
+            }
+        }
+    }
+}
+
 /// Adjoint of [`vol2col_into`]: scatters patch gradients back to `[C, T, H, W]`.
 ///
 /// # Panics

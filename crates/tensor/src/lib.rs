@@ -39,13 +39,15 @@ mod conv;
 pub mod kernel;
 mod linalg;
 mod ops;
+mod plan;
 pub mod qtensor;
 mod random;
 mod shape;
 mod tensor;
 
 pub use blob::{content_hash, fnv1a, ContentHasher};
-pub use conv::{col2vol, vol2col_into, Conv3dGeom};
+pub use conv::{col2vol, vol2col_cols_into, vol2col_into, Conv3dGeom};
+pub use plan::GridPlan;
 pub use kernel::{Isa, KernelScratch};
 pub use qtensor::{Precision, QTensor};
 pub use random::TensorRng;

@@ -1,7 +1,7 @@
 //! Property-based tests over the tensor core.
 
 use crate::conv::vol2col_reference_into;
-use crate::{col2vol, vol2col_into, Conv3dGeom, Tensor};
+use crate::{col2vol, vol2col_cols_into, vol2col_into, Conv3dGeom, Tensor};
 use proptest::prelude::*;
 
 fn small_tensor() -> impl Strategy<Value = Tensor> {
@@ -258,4 +258,209 @@ proptest! {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert!(bits(&out) == bits(&expect), "row runs differ at {:?}", g);
     }
+}
+
+/// `[oc, n]` = `w · cols + b` through the kernel's GEMM, as a layer does.
+fn conv_gemm(w: &Tensor, b: &[f32], cols: &[f32], n: usize) -> Vec<f32> {
+    let (oc, patch) = (w.dims()[0], w.dims()[1]);
+    let mut out = vec![f32::NAN; oc * n];
+    crate::kernel::gemm_into(w.data(), cols, &mut out, oc, patch, n);
+    for (row, &bc) in out.chunks_exact_mut(n).zip(b) {
+        for v in row {
+            *v += bc;
+        }
+    }
+    out
+}
+
+/// A `[1, 1, t, h, w]`-sized clip: empty, full, one cell, the border
+/// ring, or a few-percent random blob pattern, by `kind`.
+fn occupancy_clip(
+    rng: &mut crate::TensorRng,
+    kind: usize,
+    t: usize,
+    h: usize,
+    w: usize,
+) -> Vec<f32> {
+    let values = rng.uniform(&[t * h * w], 0.1, 1.0).into_vec();
+    let mut keep = vec![false; t * h * w];
+    match kind {
+        0 => {}
+        1 => keep.fill(true),
+        2 => {
+            let cells = keep.len();
+            keep[(rng.unit() * cells as f32) as usize % cells] = true;
+        }
+        3 => {
+            for (i, k) in keep.iter_mut().enumerate() {
+                let (y, x) = (i / w % h, i % w);
+                *k = y == 0 || x == 0 || y + 1 == h || x + 1 == w;
+            }
+        }
+        _ => {
+            let density = 0.01 + 0.09 * rng.unit();
+            for k in keep.iter_mut() {
+                *k = rng.unit() < density;
+            }
+        }
+    }
+    values
+        .iter()
+        .zip(&keep)
+        .map(|(&v, &k)| if k { v } else { 0.0 })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn vol2col_cols_of_every_position_is_vol2col(
+        seed in 0u64..1000,
+        c in 1usize..3, t in 1usize..5, h in 1usize..8, w in 1usize..70,
+        kt in 1usize..4, st in 1usize..3, pt in 0usize..3,
+        k in 1usize..4, s in 1usize..3, p in 0usize..3,
+    ) {
+        // Lowering the whole column list in order is the dense lowering,
+        // interior and bounds-checked columns alike; any sublist is the
+        // matching columns of it.
+        let (t, h, w) = (t.max(kt.saturating_sub(2 * pt)), h.max(k.saturating_sub(2 * p)), w.max(k.saturating_sub(2 * p)));
+        let g = Conv3dGeom {
+            in_channels: c, frames: t, height: h, width: w,
+            kernel_t: kt, kernel_s: k, stride_t: st, stride_s: s, pad_t: pt, pad_s: p,
+        };
+        let mut rng = crate::TensorRng::seed_from(seed);
+        let x = rng.uniform(&[c, t, h, w], -1.0, 1.0);
+        let n = g.out_frames() * g.out_height() * g.out_width();
+        let mut dense = vec![f32::NAN; g.patch_len() * n];
+        vol2col_into(x.data(), &g, &mut dense);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut listed = vec![f32::NAN; dense.len()];
+        vol2col_cols_into(x.data(), &g, &all, &mut listed);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert!(bits(&listed) == bits(&dense), "column list differs at {:?}", g);
+        let some: Vec<u32> = all.iter().copied().filter(|_| rng.unit() < 0.3).collect();
+        let mut part = vec![f32::NAN; g.patch_len() * some.len()];
+        vol2col_cols_into(x.data(), &g, &some, &mut part);
+        for (j, &col) in some.iter().enumerate() {
+            for r in 0..g.patch_len() {
+                prop_assert!(part[r * some.len() + j].to_bits() == dense[r * n + col as usize].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn planned_conv_chain_matches_dense_chain(
+        seed in 0u64..1000, kind in 0usize..6,
+        t in 1usize..6, h in 1usize..12, w in 1usize..70,
+        kt in 1usize..4, st in 1usize..3, pt in 0usize..2,
+        k in 1usize..4, s in 1usize..3, p in 0usize..2,
+    ) {
+        // Two convolutions with non-zero biases over a sparse clip: the
+        // active columns plus one representative per border class,
+        // scattered back, reproduce each dense layer bit for bit.
+        let (t, h, w) = (t.max(kt), h.max(k), w.max(k));
+        let mut rng = crate::TensorRng::seed_from(seed);
+        let clip = occupancy_clip(&mut rng, kind, t, h, w);
+        let g1 = geom(1, [t, h, w], (kt, st, pt), (k, s, p));
+        let g2 = geom(3, [g1.out_frames(), g1.out_height(), g1.out_width()], (kt, 1, pt), (k, 1, p));
+        prop_assume!(g2.frames + 2 * pt >= kt && g2.height + 2 * p >= k && g2.width + 2 * p >= k);
+        let mut plans = [crate::GridPlan::default(), crate::GridPlan::default(), crate::GridPlan::default()];
+        plans[0].fill(&clip, t, h, w);
+        let [p0, p1, p2] = &mut plans;
+        let y1 = planned_layer(&mut rng, &clip, &g1, p0, p1)?;
+        planned_layer(&mut rng, &y1, &g2, p1, p2)?;
+    }
+
+    #[test]
+    fn planned_subsample_and_concat_match_dense(
+        seed in 0u64..1000, kind in 0usize..6,
+        r in 1usize..4, tf in 1usize..7, h in 1usize..10, w in 1usize..70,
+    ) {
+        // SlowFast's lateral in miniature: a temporal pathway A (3-frame
+        // kernel, 1×1 spatially) and a spatial pathway B (one frame,
+        // 3×3), two layers each so their border classes carry distinct
+        // values, every r-th frame of each concatenated B-first, then
+        // one more 3×3×3 layer. Each planned layer matches its dense one.
+        let t = r * tf;
+        let mut rng = crate::TensorRng::seed_from(seed);
+        let clip = occupancy_clip(&mut rng, kind, t, h, w);
+        let ga = |c| geom(c, [t, h, w], (3, 1, 1), (1, 1, 0));
+        let gb = |c| geom(c, [t, h, w], (1, 1, 0), (3, 1, 1));
+        let mut plans: [crate::GridPlan; 8] = Default::default();
+        let [clip_plan, a1p, a2p, b1p, b2p, a_sub, b_sub, cat] = &mut plans;
+        clip_plan.fill(&clip, t, h, w);
+        let a1 = planned_layer(&mut rng, &clip, &ga(1), clip_plan, a1p)?;
+        let a2 = planned_layer(&mut rng, &a1, &ga(3), a1p, a2p)?;
+        let b1 = planned_layer(&mut rng, &clip, &gb(1), clip_plan, b1p)?;
+        let b2 = planned_layer(&mut rng, &b1, &gb(3), b1p, b2p)?;
+        a2p.subsample_into(r, a_sub);
+        b2p.subsample_into(r, b_sub);
+        b_sub.concat_into(a_sub, cat);
+        let frames = |x: &[f32]| -> Vec<f32> {
+            x.chunks_exact(h * w).enumerate().filter(|(i, _)| i % t % r == 0).flat_map(|(_, f)| f.to_vec()).collect()
+        };
+        let joined: Vec<f32> = frames(&b2).into_iter().chain(frames(&a2)).collect();
+        let gc = geom(6, [tf, h, w], (3, 1, 1), (3, 1, 1));
+        let mut out = crate::GridPlan::default();
+        planned_layer(&mut rng, &joined, &gc, cat, &mut out)?;
+    }
+}
+
+/// A geometry over a `[T, H, W]` grid with `(kernel, stride, pad)` per
+/// time and space.
+fn geom(
+    c: usize,
+    [t, h, w]: [usize; 3],
+    time: (usize, usize, usize),
+    space: (usize, usize, usize),
+) -> Conv3dGeom {
+    Conv3dGeom {
+        in_channels: c,
+        frames: t,
+        height: h,
+        width: w,
+        kernel_t: time.0,
+        kernel_s: space.0,
+        stride_t: time.1,
+        stride_s: space.1,
+        pad_t: time.2,
+        pad_s: space.2,
+    }
+}
+
+/// One 3-output-channel convolution with random weights and non-zero
+/// biases over `input` (planned by `plan`), dense and planned: checks
+/// the planned layer scatters to the dense one bit for bit and returns
+/// the dense output, with its plan in `out`.
+fn planned_layer(
+    rng: &mut crate::TensorRng,
+    input: &[f32],
+    g: &Conv3dGeom,
+    plan: &crate::GridPlan,
+    out: &mut crate::GridPlan,
+) -> Result<Vec<f32>, TestCaseError> {
+    let weight = rng.uniform(&[3, g.patch_len()], -1.0, 1.0);
+    let bias = rng.uniform(&[3], -1.0, 1.0).into_vec();
+    let n = g.out_frames() * g.out_height() * g.out_width();
+    let mut cols = vec![0.0; g.patch_len() * n];
+    vol2col_into(input, g, &mut cols);
+    let dense = conv_gemm(&weight, &bias, &cols, n);
+    plan.conv_into(g, out);
+    if let Some(list) = out.columns() {
+        let mut panel = vec![f32::NAN; g.patch_len() * list.len()];
+        vol2col_cols_into(input, g, list, &mut panel);
+        let compact = Tensor::from_vec(
+            conv_gemm(&weight, &bias, &panel, list.len()),
+            &[1, 3, list.len()],
+        );
+        let spread = out.scatter(&compact, &mut crate::KernelScratch::new());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert!(
+            bits(spread.data()) == bits(&dense),
+            "planned layer differs at {:?}",
+            g
+        );
+    }
+    Ok(dense)
 }

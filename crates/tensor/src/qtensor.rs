@@ -131,7 +131,7 @@ impl QTensor {
     }
 
     /// Elements per leading-axis row.
-    pub fn row_len(&self) -> usize {
+    fn row_len(&self) -> usize {
         self.data.len().checked_div(self.dims[0]).unwrap_or(0)
     }
 

@@ -26,7 +26,7 @@ mod train;
 mod tsn;
 
 pub use c3d::C3dLite;
-pub use model::{concat_channels, split_channels, temporal_subsample, temporal_upsample_grad, VideoClassifier};
+pub use model::VideoClassifier;
 pub use slowfast::SlowFastLite;
 pub use train::{
     evaluate, train, train_batches, EvalReport, TrainConfig, TrainReport,

@@ -179,7 +179,7 @@ pub trait VideoClassifier: Send + Sync {
 /// # Panics
 ///
 /// Panics if the input is not 5-D or `stride` does not divide `T`.
-pub fn temporal_subsample(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
+pub(crate) fn temporal_subsample(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(x.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert!(stride > 0, "stride must be positive");
     let (n, c, t, h, w) = dims5(x);
@@ -205,7 +205,7 @@ pub fn temporal_subsample(x: &Tensor, stride: usize, scratch: &mut KernelScratch
 /// # Panics
 ///
 /// Panics if the gradient is not 5-D.
-pub fn temporal_upsample_grad(grad: &Tensor, stride: usize, full_t: usize) -> Tensor {
+pub(crate) fn temporal_upsample_grad(grad: &Tensor, stride: usize, full_t: usize) -> Tensor {
     assert_eq!(grad.shape().ndim(), 5, "expected [N, C, T', H, W]");
     let (n, c, ot, h, w) = dims5(grad);
     assert_eq!(ot * stride, full_t, "stride/T mismatch");
@@ -229,7 +229,7 @@ pub fn temporal_upsample_grad(grad: &Tensor, stride: usize, full_t: usize) -> Te
 /// # Panics
 ///
 /// Panics on non-5-D inputs or mismatched non-channel dimensions.
-pub fn concat_channels(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
+pub(crate) fn concat_channels(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(a.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert_eq!(b.shape().ndim(), 5, "expected [N, C, T, H, W]");
     let (n, ca, t, h, w) = dims5(a);
@@ -258,7 +258,7 @@ pub fn concat_channels(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> T
 /// # Panics
 ///
 /// Panics if the gradient is not 5-D or `ca` exceeds its channels.
-pub fn split_channels(grad: &Tensor, ca: usize) -> (Tensor, Tensor) {
+pub(crate) fn split_channels(grad: &Tensor, ca: usize) -> (Tensor, Tensor) {
     assert_eq!(grad.shape().ndim(), 5, "expected [N, C, T, H, W]");
     let (n, c, t, h, w) = dims5(grad);
     assert!(ca < c, "split point {ca} must be inside {c} channels");

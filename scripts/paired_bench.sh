@@ -20,7 +20,8 @@ rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-16}
 change=$(cd "$(dirname "$0")/.." && pwd)
 parent=$(mktemp -d "${TMPDIR:-/tmp}/safecross-parent.XXXXXX")
 out=$(mktemp "${TMPDIR:-/tmp}/safecross-pairs.XXXXXX")
-trap 'rm -rf "$parent" "$out"' EXIT INT TERM
+trap 'rm -rf "$parent" "$out"' EXIT
+trap 'exit 130' INT TERM
 
 git -C "$change" archive "$rev" | tar -x -C "$parent"
 for root in "$parent" "$change"; do

@@ -6,7 +6,10 @@
 //! history of the arena it is handed: a serve worker's scratch has
 //! already served other batch shapes, and its recycled buffers arrive
 //! with stale sizes and contents. These tests pin that, for every
-//! classifier family at both precisions and in both modes.
+//! classifier family at both precisions and in both modes — in eval
+//! over a dense clip, a sparse one and an empty one, because SlowFast's
+//! eval forward plans its work from the clip's occupancy and each of
+//! the three takes a different path through it.
 
 use safecross_nn::{softmax_cross_entropy, Mode};
 use safecross_tensor::{KernelScratch, Precision, Tensor, TensorRng};
@@ -26,6 +29,37 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// A 3×4 blob drifting across an otherwise empty 32×20×20 clip, per
+/// batch item: 384 of 12 800 cells (3 %) are non-zero, about the share
+/// the VP module's occupancy grids have on the benchmark's footage.
+fn blob_clips(rng: &mut TensorRng, n: usize) -> Tensor {
+    let mut clips = Tensor::zeros(&[n, 1, 32, 20, 20]);
+    let values = rng.uniform(&[n * 32 * 12], 0.1, 1.0);
+    let mut next = values.data().iter().copied();
+    for i in 0..n {
+        for t in 0..32 {
+            for dy in 0..3 {
+                for dx in 0..4 {
+                    let v = next.next().expect("one value per blob cell");
+                    clips.set(&[i, 0, t, 2 + 5 * i + dy, (1 + 3 * i + dx + t / 2) % 20], v);
+                }
+            }
+        }
+    }
+    clips
+}
+
+/// The eval clips: uniform noise (every cell non-zero, so SlowFast
+/// plans every position), a sparse blob and an all-zero clip (no cell
+/// active, every position a border-class representative's copy).
+fn eval_clips(rng: &mut TensorRng) -> [(&'static str, Tensor); 3] {
+    [
+        ("uniform", rng.uniform(&[2, 1, 32, 20, 20], 0.0, 1.0)),
+        ("blob", blob_clips(rng, 2)),
+        ("empty", Tensor::zeros(&[2, 1, 32, 20, 20])),
+    ]
+}
+
 /// A scratch that has already served a differently-shaped batch of
 /// `model` at its current precision.
 fn used_scratch(model: &mut dyn VideoClassifier, rng: &mut TensorRng) -> KernelScratch {
@@ -39,27 +73,28 @@ fn used_scratch(model: &mut dyn VideoClassifier, rng: &mut TensorRng) -> KernelS
 #[test]
 fn eval_on_a_warm_shared_scratch_matches_a_cold_forward() {
     let mut rng = TensorRng::seed_from(21);
-    let clips = rng.uniform(&[2, 1, 32, 20, 20], 0.0, 1.0);
-    for mut model in families(&mut rng) {
-        for precision in [Precision::F32, Precision::Int8] {
-            model.set_precision(precision);
-            let what = format!("{} at {precision:?}", model.name());
-            let cold = bits(&model.forward(&clips, Mode::Eval));
-            let mut scratch = used_scratch(model.as_mut(), &mut rng);
-            for _ in 0..3 {
+    for (kind, clips) in eval_clips(&mut rng) {
+        for mut model in families(&mut rng) {
+            for precision in [Precision::F32, Precision::Int8] {
+                model.set_precision(precision);
+                let what = format!("{} at {precision:?} on the {kind} clip", model.name());
+                let cold = bits(&model.forward(&clips, Mode::Eval));
+                let mut scratch = used_scratch(model.as_mut(), &mut rng);
+                for _ in 0..3 {
+                    let warm = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
+                    assert_eq!(bits(&warm), cold, "{what}: scratch history leaked into the logits");
+                    scratch.recycle_tensor(warm);
+                }
+                // Once warm, repeated batches must cycle the same buffer set.
+                let settled = (scratch.pooled_buffers(), scratch.pooled_qbuffers());
                 let warm = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
-                assert_eq!(bits(&warm), cold, "{what}: scratch history leaked into the logits");
                 scratch.recycle_tensor(warm);
+                assert_eq!(
+                    (scratch.pooled_buffers(), scratch.pooled_qbuffers()),
+                    settled,
+                    "{what}: pool kept growing"
+                );
             }
-            // Once warm, repeated batches must cycle the same buffer set.
-            let settled = (scratch.pooled_buffers(), scratch.pooled_qbuffers());
-            let warm = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
-            scratch.recycle_tensor(warm);
-            assert_eq!(
-                (scratch.pooled_buffers(), scratch.pooled_qbuffers()),
-                settled,
-                "{what}: pool kept growing"
-            );
         }
     }
 }

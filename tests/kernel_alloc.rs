@@ -7,7 +7,10 @@
 //! classify performs **no** heap allocation at all. This test pins that
 //! down with a counting global allocator, for the SlowFast classify call
 //! and for the eval forward of every classifier family at both
-//! precisions (TSN is the one that exercises the 2-D layers).
+//! precisions (TSN is the one that exercises the 2-D layers) — on a
+//! dense clip, a sparse one and an empty one, since SlowFast's eval
+//! forward plans its columns from the clip's occupancy and each of the
+//! three sizes those plans differently.
 //!
 //! It also pins that serving never spawns: the kernel worker count is
 //! set to 8, and spawning a GEMM worker allocates (thread stack, join
@@ -20,7 +23,7 @@
 
 use safecross::classify_with_model;
 use safecross_nn::Mode;
-use safecross_tensor::{kernel, KernelScratch, Precision, TensorRng};
+use safecross_tensor::{kernel, KernelScratch, Precision, Tensor, TensorRng};
 use safecross_trafficsim::Weather;
 use safecross_videoclass::{C3dLite, SlowFastLite, TsnLite, VideoClassifier};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,6 +58,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// A 3×4 blob drifting across an otherwise empty 32×20×20 clip: 384 of
+/// 12 800 cells (3 %) are non-zero, about the share the VP module's
+/// occupancy grids have on the benchmark's footage.
+fn blob_clip(rng: &mut TensorRng) -> Tensor {
+    let mut clip = Tensor::zeros(&[1, 1, 32, 20, 20]);
+    let values = rng.uniform(&[32 * 12], 0.1, 1.0);
+    let mut next = values.data().iter().copied();
+    for t in 0..32 {
+        for dy in 0..3 {
+            for dx in 0..4 {
+                let v = next.next().expect("one value per blob cell");
+                clip.set(&[0, 0, t, 7 + dy, (2 + dx + t / 2) % 20], v);
+            }
+        }
+    }
+    clip
+}
 
 #[test]
 fn steady_state_classify_allocates_nothing() {
@@ -95,28 +116,42 @@ fn steady_state_classify_allocates_nothing() {
         Box::new(C3dLite::new(2, &mut rng)),
         Box::new(TsnLite::new(2, &mut rng)),
     ];
-    let clips = rng.uniform(&[1, 1, 32, 20, 20], 0.0, 1.0);
+    let clips = [
+        ("uniform", rng.uniform(&[1, 1, 32, 20, 20], 0.0, 1.0)),
+        ("blob", blob_clip(&mut rng)),
+        ("empty", Tensor::zeros(&[1, 1, 32, 20, 20])),
+    ];
     for mut model in families {
         for precision in [Precision::F32, Precision::Int8] {
             model.set_precision(precision);
-            for _ in 0..4 {
-                let logits = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
-                scratch.recycle_tensor(logits);
+            for (kind, clip) in &clips {
+                let cold = model.forward(clip, Mode::Eval);
+                for _ in 0..4 {
+                    let logits = model.forward_scratch(clip, Mode::Eval, &mut scratch);
+                    scratch.recycle_tensor(logits);
+                }
+                let allocs_before = ALLOCS.load(Ordering::SeqCst);
+                let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
+                let mut same = true;
+                for _ in 0..8 {
+                    let logits = model.forward_scratch(clip, Mode::Eval, &mut scratch);
+                    same &= logits
+                        .data()
+                        .iter()
+                        .zip(cold.data())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    scratch.recycle_tensor(logits);
+                }
+                let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
+                let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+                let cell = (model.name(), precision, kind);
+                assert_eq!(
+                    allocs, 0,
+                    "steady-state forward hit the allocator: {cell:?}"
+                );
+                assert_eq!(deallocs, 0, "steady-state forward freed memory: {cell:?}");
+                assert!(same, "warm forward diverged from a cold one: {cell:?}");
             }
-            let allocs_before = ALLOCS.load(Ordering::SeqCst);
-            let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
-            for _ in 0..8 {
-                let logits = model.forward_scratch(&clips, Mode::Eval, &mut scratch);
-                scratch.recycle_tensor(logits);
-            }
-            let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-            let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
-            let cell = (model.name(), precision);
-            assert_eq!(
-                allocs, 0,
-                "steady-state forward hit the allocator: {cell:?}"
-            );
-            assert_eq!(deallocs, 0, "steady-state forward freed memory: {cell:?}");
         }
     }
 }
