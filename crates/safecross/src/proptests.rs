@@ -20,24 +20,98 @@ fn arb_frame() -> impl Strategy<Value = GrayFrame> {
     })
 }
 
-/// Frames of every shape the scan has an edge case for — 1×N, N×1, 2×2,
-/// wider than one scan chunk — either uniform noise or a flat ambient
-/// level with sparse bright pixels (what rain and snow look like).
-fn arb_scene_frame() -> impl Strategy<Value = GrayFrame> {
-    (1usize..90, 1usize..14, any::<bool>(), 0u8..200).prop_flat_map(|(w, h, flat, ambient)| {
-        proptest::collection::vec(any::<u8>(), w * h).prop_map(move |mut px| {
-            if flat {
-                for p in &mut px {
-                    *p = if *p < 10 { 190 + *p * 7 } else { ambient + *p % 16 };
-                }
-            }
-            GrayFrame::from_pixels(w, h, px)
-        })
+/// Widths 1–199, with the packed scan's word-boundary cases drawn six
+/// times as often.
+fn arb_scan_width() -> impl Strategy<Value = usize> {
+    const EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+    (0usize..199 + 6 * EDGES.len()).prop_map(|i| match i.checked_sub(199) {
+        None => i + 1,
+        Some(edge) => EDGES[edge % EDGES.len()],
     })
+}
+
+/// Frames of every shape the scan has an edge case for — 1×N, N×1, 2×2,
+/// one word wide and a bit either side, two words — either uniform
+/// noise or a flat ambient level with sparse bright pixels (what rain
+/// and snow look like).
+fn arb_scene_frame() -> impl Strategy<Value = GrayFrame> {
+    (arb_scan_width(), 1usize..14, any::<bool>(), 0u8..200).prop_flat_map(
+        |(w, h, flat, ambient)| {
+            proptest::collection::vec(any::<u8>(), w * h).prop_map(move |mut px| {
+                if flat {
+                    for p in &mut px {
+                        *p = if *p < 10 {
+                            190 + *p * 7
+                        } else {
+                            ambient + *p % 16
+                        };
+                    }
+                }
+                GrayFrame::from_pixels(w, h, px)
+            })
+        },
+    )
 }
 
 fn feature_bits(f: SceneFeatures) -> [u32; 4] {
     [f.mean, f.stddev, f.speckle, f.streaks].map(f32::to_bits)
+}
+
+#[test]
+fn measure_matches_the_reference_on_edge_frames() {
+    let mut frames = Vec::new();
+    for w in [1usize, 2, 3, 63, 64, 65, 129] {
+        // Heights 1–3: no interior row, no interior row, one.
+        for h in 1..=3 {
+            let px = (0..w * h)
+                .map(|i| if i % 3 == 0 { 250 } else { 40 })
+                .collect();
+            frames.push(GrayFrame::from_pixels(w, h, px));
+        }
+        // Uniform frames: all-zero gives `bright` = 0 and all-255 gives
+        // 235, so every pixel is bright and none is lone.
+        frames.push(GrayFrame::filled(w, 5, 0));
+        frames.push(GrayFrame::filled(w, 5, 255));
+        // Bright pixels only on the border (columns 0 and w − 1, rows 0
+        // and h − 1): never counted, but read as the neighbours of the
+        // isolated interior pixels next to them.
+        let h = 6;
+        let mut f = GrayFrame::filled(w, h, 30);
+        for y in 0..h {
+            f.set(0, y, 255);
+            f.set(w - 1, y, 255);
+        }
+        for x in 0..w {
+            f.set(x, 0, 255);
+            f.set(x, h - 1, 255);
+        }
+        for (x, y) in [
+            (2, 1),
+            (w.saturating_sub(3), h - 2),
+            (1, 3),
+            (w.saturating_sub(2), 2),
+        ] {
+            f.set(x.min(w - 1), y, 255);
+        }
+        frames.push(f);
+        // Horizontal bright pairs straddling each word boundary: neither
+        // pixel is lone, which only the carry between words can tell.
+        let mut f = GrayFrame::filled(w, 3, 30);
+        for x in (64..w).step_by(64) {
+            f.set(x - 1, 1, 255);
+            f.set(x, 1, 255);
+        }
+        frames.push(f);
+    }
+    for frame in &frames {
+        assert_eq!(
+            feature_bits(SceneFeatures::measure(frame)),
+            feature_bits(SceneFeatures::measure_reference(frame)),
+            "{}×{} frame",
+            frame.width(),
+            frame.height()
+        );
+    }
 }
 
 proptest! {

@@ -23,24 +23,24 @@ pub struct SceneFeatures {
     pub streaks: f32,
 }
 
-/// Pixels per skip test of the neighbour scan: long enough that the
-/// test is one vector max, short enough that a lone streak does not drag
-/// a whole row through the per-pixel branch.
-const SCAN_CHUNK: usize = 32;
-
 impl SceneFeatures {
     /// Measures a frame.
     ///
     /// Three sweeps, each as cheap as bit-identity with the original
     /// per-pixel formulation allows: the mean once (integer where exact,
     /// see [`GrayFrame::mean`]); the variance about it as the
-    /// left-to-right `f32` fold of `(p − mean)²` that
-    /// [`GrayFrame::stddev`] performs — every add rounds, so the order is
-    /// part of the result and the fold stays serial; and the neighbour
-    /// scan over row slices, skipping every stretch with no bright pixel
-    /// in it.
+    /// left-to-right `f32` fold of `(p − mean)²` — every add rounds, so
+    /// the order is part of the result and the fold stays serial; and
+    /// the neighbour scan over packed bright-pixel rows, 64 pixels per
+    /// word op.
     pub fn measure(frame: &GrayFrame) -> Self {
-        let (w, h) = (frame.width(), frame.height());
+        Self::measure_with(frame, &mut Vec::new())
+    }
+
+    /// [`SceneFeatures::measure`] with the neighbour scan's three packed
+    /// rows kept in `ring`, which grows to fit the frame once and is
+    /// reused after that.
+    pub(crate) fn measure_with(frame: &GrayFrame, ring: &mut Vec<u64>) -> Self {
         let pixels = frame.pixels();
         let n = pixels.len() as f32;
         let mean = frame.mean();
@@ -52,32 +52,7 @@ impl SceneFeatures {
 
         // In [0, 235], so the cast truncates exactly as a wider integer would.
         let bright = (mean + 2.5 * stddev).min(235.0) as u8;
-        let mut speckle = 0usize;
-        let mut streaks = 0usize;
-        if w > 2 {
-            for y in 1..h - 1 {
-                let (above, rest) = pixels[(y - 1) * w..(y + 2) * w].split_at(w);
-                let (row, below) = rest.split_at(w);
-                for start in (1..w - 1).step_by(SCAN_CHUNK) {
-                    let end = (start + SCAN_CHUNK).min(w - 1);
-                    if row[start..end].iter().fold(0, |m, &p| m.max(p)) < bright {
-                        continue;
-                    }
-                    for x in start..end {
-                        if row[x] < bright {
-                            continue;
-                        }
-                        let (up, down) = (above[x] >= bright, below[x] >= bright);
-                        let (left, right) = (row[x - 1] >= bright, row[x + 1] >= bright);
-                        if !up && !down && !left && !right {
-                            speckle += 1;
-                        } else if (up || down) && !left && !right {
-                            streaks += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let (speckle, streaks) = lone_bright_pixels(frame, bright, ring);
         SceneFeatures {
             mean,
             stddev,
@@ -100,12 +75,50 @@ impl SceneFeatures {
     }
 }
 
+/// Counts the interior pixels (`x ∈ 1..w−1`, `y ∈ 1..h−1`) at least
+/// `bright` whose left and right neighbours are both below it, as
+/// `(speckle, streaks)`: without a bright pixel above or below, and with
+/// one. Rows are packed one bit per pixel into `ring`, three at a time,
+/// so the neighbours of 64 pixels are three shifts and an or; edge
+/// pixels are read as neighbours but never counted.
+fn lone_bright_pixels(frame: &GrayFrame, bright: u8, ring: &mut Vec<u64>) -> (usize, usize) {
+    let (w, h) = (frame.width(), frame.height());
+    if h < 3 {
+        return (0, 0);
+    }
+    let words = w.div_ceil(64);
+    ring.resize(3 * words, 0);
+    let slot = |y: usize| (y % 3) * words..(y % 3 + 1) * words;
+    frame.pack_row_at_least(0, bright, &mut ring[slot(0)]);
+    frame.pack_row_at_least(1, bright, &mut ring[slot(1)]);
+    let last = (w - 1) / 64;
+    let edge = |c: usize| u64::from(c == 0) | u64::from(c == last) << ((w - 1) % 64);
+    let (mut speckle, mut streaks) = (0, 0);
+    for y in 1..h - 1 {
+        frame.pack_row_at_least(y + 1, bright, &mut ring[slot(y + 1)]);
+        let (above, row, below) = (&ring[slot(y - 1)], &ring[slot(y)], &ring[slot(y + 1)]);
+        for (c, &r) in row.iter().enumerate() {
+            let prev = if c > 0 { row[c - 1] } else { 0 };
+            let next = row.get(c + 1).copied().unwrap_or(0);
+            let left = r << 1 | prev >> 63;
+            let right = r >> 1 | next << 63;
+            let lone = r & !left & !right & !edge(c);
+            let vert = above[c] | below[c];
+            speckle += (lone & !vert).count_ones() as usize;
+            streaks += (lone & vert).count_ones() as usize;
+        }
+    }
+    (speckle, streaks)
+}
+
 /// Debounced scene detector: majority vote over a sliding window.
 #[derive(Debug, Clone)]
 pub struct SceneDetector {
     window: VecDeque<Weather>,
     capacity: usize,
     current: Weather,
+    /// The neighbour scan's packed rows, reused frame to frame.
+    scan: Vec<u64>,
 }
 
 impl SceneDetector {
@@ -121,6 +134,7 @@ impl SceneDetector {
             window: VecDeque::with_capacity(window),
             capacity: window,
             current: Weather::Daytime,
+            scan: Vec::new(),
         }
     }
 
@@ -131,7 +145,7 @@ impl SceneDetector {
 
     /// Feeds one frame; returns `Some(new_scene)` when the vote flips.
     pub fn observe(&mut self, frame: &GrayFrame) -> Option<Weather> {
-        let vote = SceneFeatures::measure(frame).classify();
+        let vote = SceneFeatures::measure_with(frame, &mut self.scan).classify();
         if self.window.len() == self.capacity {
             self.window.pop_front();
         }
@@ -156,8 +170,8 @@ impl SceneDetector {
 
 #[cfg(test)]
 impl SceneFeatures {
-    /// The per-pixel body `measure` replaced (with `GrayFrame::stddev`
-    /// folding the mean a second and third time), kept as the reference
+    /// The per-pixel body `measure` replaced — the mean as a plain `f32`
+    /// fold, the neighbour tests pixel by pixel — kept as the reference
     /// the proptests compare against bit for bit.
     pub(crate) fn measure_reference(frame: &GrayFrame) -> Self {
         let pixels = frame.pixels();
@@ -205,7 +219,7 @@ impl SceneFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safecross_trafficsim::{Renderer, RenderConfig, Scenario, Simulator};
+    use safecross_trafficsim::{RenderConfig, Renderer, Scenario, Simulator};
 
     fn rendered_frame(weather: Weather, seed: u64) -> GrayFrame {
         let mut sim = Simulator::new(Scenario::new(weather, true, 0.2), seed);

@@ -32,13 +32,13 @@
 //!
 //! The instruction set ([`isa`]) is resolved the same way: detected
 //! once ([`Isa::detect`]) unless `SAFECROSS_KERNEL_ISA` or [`set_isa`]
-//! overrides it. The f32 inner loops in
-//! [`simd`] are built so dispatch **never changes result bits** —
+//! overrides it. The f32 inner loops in the crate-private `simd`
+//! module are built so dispatch **never changes result bits** —
 //! vector lanes are independent output elements and multiplies/adds are
 //! never fused — so like the thread count, the ISA is purely a
 //! performance knob.
 
-pub mod simd;
+pub(crate) mod simd;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
@@ -254,9 +254,7 @@ impl KernelScratch {
         }
         // Otherwise grow the largest buffer, so repeated warm-up growth
         // concentrates in one allocation instead of fragmenting the pool.
-        let best = best.or_else(|| {
-            (0..self.pool.len()).max_by_key(|&i| self.pool[i].capacity())
-        });
+        let best = best.or_else(|| (0..self.pool.len()).max_by_key(|&i| self.pool[i].capacity()));
         let mut buf = match best {
             Some(i) => self.pool.swap_remove(i),
             None => Vec::new(),
@@ -297,9 +295,7 @@ impl KernelScratch {
                 best = Some(i);
             }
         }
-        let best = best.or_else(|| {
-            (0..self.qpool.len()).max_by_key(|&i| self.qpool[i].capacity())
-        });
+        let best = best.or_else(|| (0..self.qpool.len()).max_by_key(|&i| self.qpool[i].capacity()));
         let mut buf = match best {
             Some(i) => self.qpool.swap_remove(i),
             None => Vec::new(),
@@ -380,10 +376,12 @@ fn row_is_sparse(row: &[f32]) -> bool {
 
 /// Computes the flat output elements `[start, start + out.len())` of an
 /// `[m, k] × [k, n]` product, overwriting `out`. Each element accumulates
-/// in ascending-`p` order regardless of the range split, and the inner
-/// axpy dispatches to `isa` — which cannot change bits, because
-/// [`simd::axpy`] vectorises across independent output columns with
-/// non-fused multiply/add.
+/// in ascending-`p` order regardless of the range split or the route its
+/// row takes, and no route changes a bit: runs of dense rows go through
+/// [`simd::gemm_tile`] four rows at a time, while the rows a run leaves
+/// over, the sparse rows (whose zero-skip is observable on a non-finite
+/// rhs) and the partial rows of a flat split keep the [`axpy_range`]
+/// loop — and the tile adds in exactly that loop's order.
 fn gemm_flat_range(
     a: &[f32],
     b: &[f32],
@@ -393,9 +391,45 @@ fn gemm_flat_range(
     n: usize,
     isa: Isa,
 ) {
-    for v in out.iter_mut() {
-        *v = 0.0;
+    out.fill(0.0);
+    if n == 0 {
+        return;
     }
+    let end = start + out.len();
+    // The whole rows of the range, and the partial rows either side.
+    let (first, last) = (start.div_ceil(n), end / n);
+    if first >= last {
+        axpy_range(a, b, out, start, k, n, isa);
+        return;
+    }
+    let (head, rest) = out.split_at_mut(first * n - start);
+    let (whole, tail) = rest.split_at_mut((last - first) * n);
+    axpy_range(a, b, head, start, k, n, isa);
+    axpy_range(a, b, tail, last * n, k, n, isa);
+    let mut i = first;
+    while i < last {
+        let dense = (i..last)
+            .take_while(|&r| !row_is_sparse(&a[r * k..(r + 1) * k]))
+            .count();
+        let tiled = dense - dense % simd::TILE_ROWS;
+        // The run, plus the sparse row that ends it.
+        let next = (i + dense + 1).min(last);
+        let run = &mut whole[(i - first) * n..(next - first) * n];
+        let (tile_out, rest) = run.split_at_mut(tiled * n);
+        if tiled > 0 {
+            simd::gemm_tile(isa, &a[i * k..(i + tiled) * k], b, tile_out, tiled, k, n);
+        }
+        axpy_range(a, b, rest, (i + tiled) * n, k, n, isa);
+        i = next;
+    }
+}
+
+/// Accumulates the flat output elements `[start, start + out.len())` of
+/// an `[m, k] × [k, n]` product into zero-filled `out`: one [`simd::axpy`]
+/// per (row, k), skipping zero lhs elements of rows [`row_is_sparse`]
+/// flags. [`simd::axpy`] vectorises across independent output columns
+/// with non-fused multiply/add, so the ISA cannot change bits.
+fn axpy_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: usize, isa: Isa) {
     let end = start + out.len();
     let mut pos = start;
     while pos < end {
@@ -409,17 +443,11 @@ fn gemm_flat_range(
         while jb < j1 {
             let je = (jb + COL_BLOCK).min(j1);
             let oseg = &mut orow[jb - j0..je - j0];
-            if sparse {
-                for (p, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    simd::axpy(isa, oseg, av, &b[p * n + jb..p * n + je]);
+            for (p, &av) in arow.iter().enumerate() {
+                if sparse && av == 0.0 {
+                    continue;
                 }
-            } else {
-                for (p, &av) in arow.iter().enumerate() {
-                    simd::axpy(isa, oseg, av, &b[p * n + jb..p * n + je]);
-                }
+                simd::axpy(isa, oseg, av, &b[p * n + jb..p * n + je]);
             }
             jb = je;
         }
@@ -434,14 +462,7 @@ fn gemm_flat_range(
 /// reduction runs along `p`, so vector lanes would have to split the
 /// accumulation and change the rounding sequence. The int8 path covers
 /// this shape instead (integer accumulation is order-free).
-fn gemm_transb_flat_range(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    start: usize,
-    k: usize,
-    n: usize,
-) {
+fn gemm_transb_flat_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: usize) {
     for (off, o) in out.iter_mut().enumerate() {
         let pos = start + off;
         let i = pos / n;
@@ -610,32 +631,65 @@ pub fn gemm_transb_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     });
 }
 
+/// The seed kernel, verbatim: (i, k, j) loops with an unconditional
+/// zero-skip branch. The reference every path must match bit-for-bit on
+/// a finite rhs.
+#[cfg(test)]
+pub(crate) fn reference_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (p, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &b[p * n..(p + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
+/// [`reference_gemm`] with its zero-skip confined to the rows
+/// [`row_is_sparse`] flags, as the kernel routes them; every other row
+/// multiplies its zeros. The two references agree on a finite rhs and
+/// part where a zero meets `±inf` or NaN (`0 · inf` is NaN).
+#[cfg(test)]
+pub(crate) fn reference_gemm_routed(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    let mut out = reference_gemm(a, b, m, k, n);
+    for i in (0..m).filter(|&i| !row_is_sparse(&a[i * k..(i + 1) * k])) {
+        let orow = &mut out[i * n..(i + 1) * n];
+        orow.fill(0.0);
+        for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+            for (o, &bv) in orow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::TensorRng;
 
-    /// The seed kernel, verbatim: (i, k, j) loops with an unconditional
-    /// zero-skip branch. The reference every path must match bit-for-bit.
-    fn reference_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
-
-    fn random_case(seed: u64, m: usize, k: usize, n: usize, zero_rate: f32) -> (Vec<f32>, Vec<f32>) {
+    fn random_case(
+        seed: u64,
+        m: usize,
+        k: usize,
+        n: usize,
+        zero_rate: f32,
+    ) -> (Vec<f32>, Vec<f32>) {
         let mut rng = TensorRng::seed_from(seed);
         let mut a = vec![0.0f32; m * k];
         for v in &mut a {
@@ -744,7 +798,15 @@ mod tests {
     #[test]
     fn output_is_overwritten_not_accumulated() {
         let mut out = vec![100.0f32; 4];
-        gemm_into_with_threads(&[1.0, 0.0, 0.0, 1.0], &[1.0, 2.0, 3.0, 4.0], &mut out, 2, 2, 2, 1);
+        gemm_into_with_threads(
+            &[1.0, 0.0, 0.0, 1.0],
+            &[1.0, 2.0, 3.0, 4.0],
+            &mut out,
+            2,
+            2,
+            2,
+            1,
+        );
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -754,7 +816,10 @@ mod tests {
         let a = scratch.take(100);
         scratch.recycle(a);
         let b = scratch.take(50);
-        assert!(b.capacity() >= 100, "best fit should hand back the pooled buffer");
+        assert!(
+            b.capacity() >= 100,
+            "best fit should hand back the pooled buffer"
+        );
         assert_eq!(b.len(), 50);
         assert!(b.iter().all(|&v| v == 0.0));
         scratch.recycle(b);
@@ -867,7 +932,10 @@ mod tests {
         assert_eq!(scratch.pooled_qbuffers(), 1);
         assert_eq!(scratch.pooled_buffers(), 0);
         let q2 = scratch.take_q(32);
-        assert!(q2.capacity() >= 64, "best fit should reuse the pooled buffer");
+        assert!(
+            q2.capacity() >= 64,
+            "best fit should reuse the pooled buffer"
+        );
         assert!(q2.iter().all(|&v| v == 0));
         scratch.recycle_q(q2);
     }

@@ -3,46 +3,52 @@
 //! This module is the **only** place in the workspace where `unsafe`
 //! code is permitted (the crate root carries `#![deny(unsafe_code)]`;
 //! CI's unsafe-audit gate enforces both the confinement and the
-//! `// SAFETY:` contract preceding every block). Everything it exports
-//! is a safe function; the unsafety is the usual `std::arch` pair of
+//! `// SAFETY:` contract preceding every block). Everything it hands the
+//! rest of the crate is a safe function; the unsafety is the usual `std::arch` pair of
 //! obligations — the CPU must actually support the instruction set, and
 //! pointer-based lane loads/stores must stay inside their slices — and
 //! both are discharged locally, per block. The first obligation is
 //! enforced *inside* every dispatcher, not assumed of callers: [`Isa`]
 //! is freely constructible ([`Isa::parse`] accepts any spelling), so
-//! each public entry point runs the requested set through
+//! each entry point runs the requested set through
 //! [`Isa::sanitize`] before matching, and an unsupported request simply
 //! executes on the detected (or scalar) path.
 //!
-//! Two microkernels exist, chosen so that vectorisation **cannot change
+//! The microkernels, chosen so that vectorisation **cannot change
 //! result bits**:
 //!
 //! - [`axpy`]: `acc[j] += a * b[j]` over a contiguous column segment —
-//!   the dense inner loop of the f32 GEMM. Lanes are independent output
-//!   elements, and the multiply and add are issued as *separate*
-//!   rounded operations (`mul` then `add`, never an FMA), so every
-//!   output element sees exactly the scalar path's operation sequence.
-//!   f32 results are therefore bit-identical across `Isa`s, which is
-//!   what lets [`Isa`] be a pure performance knob.
+//!   the f32 GEMM's per-(row, k) loop for the rows the tile does not
+//!   take. Lanes are independent output elements, and the multiply and
+//!   add are issued as *separate* rounded operations (`mul` then `add`,
+//!   never an FMA), so every output element sees exactly the scalar
+//!   path's operation sequence. f32 results are therefore bit-identical
+//!   across `Isa`s, which is what lets [`Isa`] be a pure performance
+//!   knob.
+//! - [`gemm_tile`]: the f32 GEMM over blocks of [`TILE_ROWS`] rows, with
+//!   a 4 × 16 block of accumulators held in AVX2 registers across the
+//!   whole reduction, then one 8-lane block per row and a masked 8-lane
+//!   tail. Each output element still starts at `+0.0` and adds `a[i, p]
+//!   · b[p, j]` for ascending `p`, multiply and add unfused — the very
+//!   sequence repeated [`axpy`] calls perform — so it moves no bit;
+//!   masked lanes are columns nobody reads or writes. One dispatch
+//!   covers every row block, where the axpy loop dispatched once per
+//!   (row, k).
 //! - [`qdot`]: `Σ a[p]·b[p]` over `i8` operands in an `i32`
 //!   accumulator — the inner loop of the transposed int8 GEMM (both
 //!   operands row-contiguous, deep `k`: the linear-layer shape).
 //!   Integer arithmetic is exact, so lane order is free and the SIMD
 //!   and scalar paths agree bit-for-bit by construction.
-//! - [`qaxpy2`]: `acc[j] += a0·b[2j] + a1·b[2j+1]` over a
-//!   pair-interleaved `i8` panel — the inner loop of the *flat* int8
-//!   GEMM that convolutions lower to. Interleaving two reduction rows
-//!   per column lets AVX2 `madd` / NEON `padal` fold both products into
-//!   an `i32` lane in one instruction, with no horizontal reductions
-//!   and no scalar tail along `k` — which is what makes int8 pay off
-//!   even for the shallow fan-ins of the fast-pathway convs (`k = 27`),
-//!   where a per-output dot product spends its life outside the vector
-//!   unit. Integer-exact, so ISA is again a pure performance knob.
-//! - [`qgemm_row`]: a register-blocked sweep of [`qaxpy2`]'s recurrence
-//!   across *all* reduction pairs for one output row — accumulators are
-//!   kept in registers for the whole reduction instead of being
-//!   re-loaded per pair, which roughly halves the int8 GEMM's memory
-//!   traffic. Same integer-exact contract.
+//! - [`qgemm_row`]: one output row of the *flat* int8 GEMM that
+//!   convolutions lower to, over a pair-interleaved `i8` panel
+//!   (`acc[j] += a0·b[2j] + a1·b[2j+1]` per reduction pair).
+//!   Interleaving two reduction rows per column lets AVX2 `madd` / NEON
+//!   `padal` fold both products into an `i32` lane in one instruction,
+//!   with no horizontal reductions and no scalar tail along `k` — which
+//!   is what makes int8 pay off even for the shallow fan-ins of the
+//!   fast-pathway convs (`k = 27`). Accumulators are kept in registers
+//!   for the whole reduction instead of being re-loaded per pair.
+//!   Integer-exact, so ISA is again a pure performance knob.
 //! - [`quantize_pair_i8`]: the f32 → i8 activation quantizer feeding
 //!   the paired panel. Its rounding contract is ties-to-even (see
 //!   [`quantize_value`]) precisely because that is the one rounding the
@@ -142,7 +148,7 @@ fn axpy_scalar(acc: &mut [f32], a: f32, b: &[f32]) {
 ///
 /// Panics if `b` is shorter than `acc`.
 #[inline]
-pub fn axpy(isa: Isa, acc: &mut [f32], a: f32, b: &[f32]) {
+pub(crate) fn axpy(isa: Isa, acc: &mut [f32], a: f32, b: &[f32]) {
     assert!(b.len() >= acc.len(), "axpy rhs shorter than accumulator");
     match isa.sanitize() {
         #[cfg(target_arch = "x86_64")]
@@ -178,7 +184,10 @@ fn axpy_avx2(acc: &mut [f32], a: f32, b: &[f32]) {
             let ov = _mm256_loadu_ps(acc.as_ptr().add(j));
             // mul then add, separately rounded — never fused — to match
             // the scalar `*o += a * bv` bit-for-bit.
-            _mm256_storeu_ps(acc.as_mut_ptr().add(j), _mm256_add_ps(ov, _mm256_mul_ps(av, bv)));
+            _mm256_storeu_ps(
+                acc.as_mut_ptr().add(j),
+                _mm256_add_ps(ov, _mm256_mul_ps(av, bv)),
+            );
         }
         j += 8;
     }
@@ -210,13 +219,172 @@ fn axpy_neon(acc: &mut [f32], a: f32, b: &[f32]) {
 }
 
 // ---------------------------------------------------------------------
+// f32 register tile: out[i, j] = Σ_p a[i, p] · b[p, j]
+// ---------------------------------------------------------------------
+
+/// Rows per register tile of [`gemm_tile`].
+pub(crate) const TILE_ROWS: usize = 4;
+
+/// Overwrites `out` (`rows × n`) with `a × b` for `a` of `rows × k` and
+/// `b` of `k × n`, all row-major, `rows` a multiple of [`TILE_ROWS`].
+///
+/// Every output element starts at `+0.0` and adds `a[i, p] · b[p, j]`
+/// for ascending `p`, multiply and add separately rounded: exactly what
+/// zero-filling a row and calling [`axpy`] once per `p` does, so the
+/// bits are those of that loop on every [`Isa`]. Zero lhs elements are
+/// multiplied, not skipped (`0 · inf` is NaN), so a row that should
+/// skip them must not come here. On AVX2 the rows run through a 4 × 16
+/// register tile; the scalar and NEON arms are the per-(row, k) axpy
+/// loop itself.
+///
+/// # Panics
+///
+/// Panics if `rows` is not a multiple of [`TILE_ROWS`] or a slice length
+/// disagrees with its dimensions.
+pub(crate) fn gemm_tile(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        rows.is_multiple_of(TILE_ROWS),
+        "gemm_tile rows must come in tiles"
+    );
+    assert_eq!(a.len(), rows * k, "gemm_tile lhs length mismatch");
+    assert_eq!(b.len(), k * n, "gemm_tile rhs length mismatch");
+    assert_eq!(out.len(), rows * n, "gemm_tile output length mismatch");
+    match isa.sanitize() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the `sanitize` above only yields `Isa::Avx2` when
+        // `is_x86_feature_detected!("avx2")` holds on this host, so the
+        // target feature is present.
+        Isa::Avx2 => unsafe { gemm_tile_avx2(a, b, out, rows, k, n) },
+        isa => {
+            for i in 0..rows {
+                let (arow, orow) = (&a[i * k..(i + 1) * k], &mut out[i * n..(i + 1) * n]);
+                orow.fill(0.0);
+                for jb in (0..n).step_by(super::COL_BLOCK) {
+                    let je = (jb + super::COL_BLOCK).min(n);
+                    for (p, &av) in arow.iter().enumerate() {
+                        axpy(isa, &mut orow[jb..je], av, &b[p * n + jb..p * n + je]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_tile_avx2(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    debug_assert!(rows.is_multiple_of(TILE_ROWS) && a.len() == rows * k);
+    debug_assert!(b.len() == k * n && out.len() == rows * n);
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Column blocks outermost, so one `k × COL_BLOCK` panel of `b` stays
+    // in cache while every row tile sweeps it.
+    for jb in (0..n).step_by(super::COL_BLOCK) {
+        let je = (jb + super::COL_BLOCK).min(n);
+        for i in (0..rows).step_by(TILE_ROWS) {
+            let mut j = jb;
+            while j + 16 <= je {
+                // SAFETY: `i + 4 <= rows`, so the lhs reads `a[(i + r)·k
+                // + p]` for `r < 4`, `p < k` stay inside `a`'s `rows·k`
+                // elements. `j + 16 <= je <= n`, so each row `p < k` of
+                // `b` is read at `p·n + j .. p·n + j + 16`, inside `b`'s
+                // `k·n`, and the stores cover `(i + r)·n + j ..
+                // (i + r)·n + j + 16`, inside `out`'s `rows·n`. The
+                // unaligned load/store variants have no alignment
+                // requirement.
+                unsafe {
+                    let (ap, bp) = (a.as_ptr().add(i * k), b.as_ptr().add(j));
+                    let op = out.as_mut_ptr().add(i * n + j);
+                    let [mut c00, mut c01, mut c10, mut c11] = [_mm256_setzero_ps(); 4];
+                    let [mut c20, mut c21, mut c30, mut c31] = [_mm256_setzero_ps(); 4];
+                    for p in 0..k {
+                        let b0 = _mm256_loadu_ps(bp.add(p * n));
+                        let b1 = _mm256_loadu_ps(bp.add(p * n + 8));
+                        // mul then add, separately rounded — never fused
+                        // — in `axpy`'s operand order.
+                        let a0 = _mm256_set1_ps(*ap.add(p));
+                        c00 = _mm256_add_ps(c00, _mm256_mul_ps(a0, b0));
+                        c01 = _mm256_add_ps(c01, _mm256_mul_ps(a0, b1));
+                        let a1 = _mm256_set1_ps(*ap.add(k + p));
+                        c10 = _mm256_add_ps(c10, _mm256_mul_ps(a1, b0));
+                        c11 = _mm256_add_ps(c11, _mm256_mul_ps(a1, b1));
+                        let a2 = _mm256_set1_ps(*ap.add(2 * k + p));
+                        c20 = _mm256_add_ps(c20, _mm256_mul_ps(a2, b0));
+                        c21 = _mm256_add_ps(c21, _mm256_mul_ps(a2, b1));
+                        let a3 = _mm256_set1_ps(*ap.add(3 * k + p));
+                        c30 = _mm256_add_ps(c30, _mm256_mul_ps(a3, b0));
+                        c31 = _mm256_add_ps(c31, _mm256_mul_ps(a3, b1));
+                    }
+                    _mm256_storeu_ps(op, c00);
+                    _mm256_storeu_ps(op.add(8), c01);
+                    _mm256_storeu_ps(op.add(n), c10);
+                    _mm256_storeu_ps(op.add(n + 8), c11);
+                    _mm256_storeu_ps(op.add(2 * n), c20);
+                    _mm256_storeu_ps(op.add(2 * n + 8), c21);
+                    _mm256_storeu_ps(op.add(3 * n), c30);
+                    _mm256_storeu_ps(op.add(3 * n + 8), c31);
+                }
+                j += 16;
+            }
+            // At most one full 8-column block, then the tail: lanes
+            // `< width` are live, the rest are neither read nor written.
+            while j < je {
+                let width = (je - j).min(8);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(width as i32), lane);
+                // SAFETY: the lhs reads are those of the 16-column block.
+                // Only the `width` live lanes, columns `j .. j + width`
+                // with `j + width <= je <= n`, are loaded from row `p`
+                // of `b` and stored to rows `i + r` of `out`: the
+                // masked-off lanes of `maskload`/`maskstore` access no
+                // memory, so every access is inside its slice.
+                unsafe {
+                    let (ap, bp) = (a.as_ptr().add(i * k), b.as_ptr().add(j));
+                    let op = out.as_mut_ptr().add(i * n + j);
+                    let [mut c0, mut c1, mut c2, mut c3] = [_mm256_setzero_ps(); 4];
+                    for p in 0..k {
+                        let bv = _mm256_maskload_ps(bp.add(p * n), mask);
+                        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*ap.add(p)), bv));
+                        c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*ap.add(k + p)), bv));
+                        c2 = _mm256_add_ps(
+                            c2,
+                            _mm256_mul_ps(_mm256_set1_ps(*ap.add(2 * k + p)), bv),
+                        );
+                        c3 = _mm256_add_ps(
+                            c3,
+                            _mm256_mul_ps(_mm256_set1_ps(*ap.add(3 * k + p)), bv),
+                        );
+                    }
+                    _mm256_maskstore_ps(op, mask, c0);
+                    _mm256_maskstore_ps(op.add(n), mask, c1);
+                    _mm256_maskstore_ps(op.add(2 * n), mask, c2);
+                    _mm256_maskstore_ps(op.add(3 * n), mask, c3);
+                }
+                j += width;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // i8 dot product: Σ a[p]·b[p] in i32
 // ---------------------------------------------------------------------
 
 /// Largest reduction depth `k` for which `k · 127 · 127` cannot
 /// overflow the `i32` accumulator. Callers assert against it once per
 /// GEMM, not per dot product.
-pub const QDOT_MAX_K: usize = (i32::MAX / (127 * 127)) as usize;
+pub(crate) const QDOT_MAX_K: usize = (i32::MAX / (127 * 127)) as usize;
 
 #[inline]
 fn qdot_scalar(a: &[i8], b: &[i8]) -> i32 {
@@ -236,7 +404,7 @@ fn qdot_scalar(a: &[i8], b: &[i8]) -> i32 {
 /// Panics if the slices have different lengths or exceed
 /// [`QDOT_MAX_K`].
 #[inline]
-pub fn qdot(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
+pub(crate) fn qdot(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "qdot operand length mismatch");
     assert!(a.len() <= QDOT_MAX_K, "qdot reduction too deep for i32");
     match isa.sanitize() {
@@ -329,7 +497,7 @@ fn qdot_neon(a: &[i8], b: &[i8]) -> i32 {
 /// reproduce exactly those semantics by zeroing NaN lanes and clamping
 /// in f32 before their integer converts.
 #[inline]
-pub fn quantize_value(x: f32, inv_scale: f32) -> i8 {
+pub(crate) fn quantize_value(x: f32, inv_scale: f32) -> i8 {
     (x * inv_scale).round_ties_even().clamp(-127.0, 127.0) as i8
 }
 
@@ -367,7 +535,13 @@ fn quantize_pair_scalar(row0: &[f32], row1: Option<&[f32]>, inv: &[f32], out: &m
 /// Panics if `inv` or `row1` disagree with `row0`'s length, or `out` is
 /// not exactly twice it.
 #[inline]
-pub fn quantize_pair_i8(isa: Isa, row0: &[f32], row1: Option<&[f32]>, inv: &[f32], out: &mut [i8]) {
+pub(crate) fn quantize_pair_i8(
+    isa: Isa,
+    row0: &[f32],
+    row1: Option<&[f32]>,
+    inv: &[f32],
+    out: &mut [i8],
+) {
     assert_eq!(inv.len(), row0.len(), "one reciprocal scale per column");
     assert_eq!(out.len(), 2 * row0.len(), "paired output is twice the row");
     if let Some(row1) = row1 {
@@ -478,7 +652,10 @@ fn quantize_pair_neon(row0: &[f32], row1: Option<&[f32]>, inv: &[f32], out: &mut
                 vcvtnq_s32_f32(vminq_f32(vmaxq_f32(p, lo_bound), hi_bound))
             };
             let quant8 = |row: &[f32]| {
-                vcombine_s16(vqmovn_s32(quant4(row, j, i0)), vqmovn_s32(quant4(row, j + 4, i1)))
+                vcombine_s16(
+                    vqmovn_s32(quant4(row, j, i0)),
+                    vqmovn_s32(quant4(row, j + 4, i1)),
+                )
             };
             let q0 = quant8(row0);
             let q1 = match row1 {
@@ -498,10 +675,11 @@ fn quantize_pair_neon(row0: &[f32], row1: Option<&[f32]>, inv: &[f32], out: &mut
 }
 
 // ---------------------------------------------------------------------
-// paired i8 axpy: acc[j] += a0·b[2j] + a1·b[2j+1]
+// paired-panel GEMM row: one output row against the whole panel
 // ---------------------------------------------------------------------
 
-/// The reference semantics: two widening multiplies and two adds per
+/// One reduction pair of the paired-panel recurrence: `acc[j] += a0 ·
+/// b[2j] + a1 · b[2j + 1]`, two widening multiplies and two adds per
 /// `i32` accumulator lane, ascending `j`. Order is irrelevant — integer
 /// arithmetic is exact — but this loop *is* the contract.
 #[inline]
@@ -512,131 +690,38 @@ fn qaxpy2_scalar(acc: &mut [i32], a0: i8, a1: i8, b: &[i8]) {
     }
 }
 
-/// `acc[j] += a0 · b[2j] + a1 · b[2j + 1]` for `j` in `0..acc.len()`,
-/// dispatched to `isa` — the paired-panel int8 GEMM inner loop (see
-/// [`crate::qtensor::qgemm_paired_into`]). `b` holds two reduction rows
-/// interleaved column-by-column, so one 16-byte vector load feeds eight
-/// `i32` lanes with both products already summed pairwise.
-/// Integer-exact: every [`Isa`] produces identical accumulators.
-///
-/// # Panics
-///
-/// Panics if `b` is shorter than `2 · acc.len()`.
-#[inline]
-pub fn qaxpy2(isa: Isa, acc: &mut [i32], a0: i8, a1: i8, b: &[i8]) {
-    assert!(b.len() >= 2 * acc.len(), "qaxpy2 panel shorter than 2x accumulator");
-    match isa.sanitize() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the `sanitize` above only yields `Isa::Avx2` when
-        // `is_x86_feature_detected!("avx2")` holds on this host, so the
-        // target feature is present.
-        Isa::Avx2 => unsafe { qaxpy2_avx2(acc, a0, a1, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally mandatory on AArch64, so the
-        // target feature is always present when this arm compiles.
-        Isa::Neon => unsafe { qaxpy2_neon(acc, a0, a1, b) },
-        _ => qaxpy2_scalar(acc, a0, a1, b),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn qaxpy2_avx2(acc: &mut [i32], a0: i8, a1: i8, b: &[i8]) {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256,
-        _mm256_madd_epi16, _mm256_set1_epi32, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    debug_assert!(b.len() >= 2 * acc.len());
-    let n = acc.len();
-    // Every i32 lane of `va` holds the i16 pair (a0, a1), matching the
-    // (b[2j], b[2j+1]) pairs `cvtepi8_epi16` produces from the panel.
-    let va = _mm256_set1_epi32(((a1 as i16 as u16 as i32) << 16) | (a0 as i16 as u16 as i32));
-    let mut j = 0;
-    while j + 8 <= n {
-        // SAFETY: `j + 8 <= acc.len()` and `b.len() >= 2 * acc.len()`,
-        // so the 16-byte panel load covers bytes `2j..2j+16` and the
-        // 32-byte accumulator load/store covers lanes `j..j+8`, all
-        // inside their slices; the unaligned variants are used
-        // throughout.
-        unsafe {
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(2 * j) as *const __m128i));
-            // madd: each i32 lane gets a0·b[2j'] + a1·b[2j'+1]. The i16
-            // products are at most 127² so even their pairwise sum is
-            // exact in i32.
-            let prod = _mm256_madd_epi16(vb, va);
-            let ov = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-            _mm256_storeu_si256(acc.as_mut_ptr().add(j) as *mut __m256i, _mm256_add_epi32(ov, prod));
-        }
-        j += 8;
-    }
-    qaxpy2_scalar(&mut acc[j..], a0, a1, &b[2 * j..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-fn qaxpy2_neon(acc: &mut [i32], a0: i8, a1: i8, b: &[i8]) {
-    use std::arch::aarch64::{
-        vdup_n_s16, vget_high_s8, vget_low_s8, vld1q_s32, vld1q_s8, vmull_s8, vpadalq_s16,
-        vreinterpret_s8_s16, vst1q_s32,
-    };
-    debug_assert!(b.len() >= 2 * acc.len());
-    let n = acc.len();
-    // An i8x8 of repeated (a0, a1) pairs, aligned with the panel's
-    // column-pair interleaving.
-    // SAFETY: `vdup`/`vreinterpret` are pure register ops; no memory is
-    // touched.
-    let va = unsafe { vreinterpret_s8_s16(vdup_n_s16(((a1 as i16) << 8) | (a0 as u8 as i16))) };
-    let mut j = 0;
-    while j + 8 <= n {
-        // SAFETY: `j + 8 <= acc.len()` and `b.len() >= 2 * acc.len()`,
-        // so the 16-byte panel load covers bytes `2j..2j+16` and the two
-        // 4-lane i32 load/store pairs cover lanes `j..j+8`, all inside
-        // their slices; NEON loads/stores accept unaligned addresses.
-        unsafe {
-            let vb = vld1q_s8(b.as_ptr().add(2 * j));
-            // Widening i8×i8→i16 products, then pairwise-accumulate
-            // adjacent i16s into i32 lanes: exactly a0·b[2j'] +
-            // a1·b[2j'+1] per lane. |product| ≤ 127², so the i16
-            // intermediates are exact.
-            let lo = vmull_s8(va, vget_low_s8(vb));
-            let hi = vmull_s8(va, vget_high_s8(vb));
-            let o0 = vld1q_s32(acc.as_ptr().add(j));
-            let o1 = vld1q_s32(acc.as_ptr().add(j + 4));
-            vst1q_s32(acc.as_mut_ptr().add(j), vpadalq_s16(o0, lo));
-            vst1q_s32(acc.as_mut_ptr().add(j + 4), vpadalq_s16(o1, hi));
-        }
-        j += 8;
-    }
-    qaxpy2_scalar(&mut acc[j..], a0, a1, &b[2 * j..]);
-}
-
-// ---------------------------------------------------------------------
-// paired-panel GEMM row: one output row against the whole panel
-// ---------------------------------------------------------------------
-
 /// Splits the reduction vector into its even/odd panel operands for
 /// pair `t`: the phantom partner of an odd-length row is zero.
 #[inline]
 fn arow_pair(arow: &[i8], t: usize) -> (i8, i8) {
-    let a1 = if 2 * t + 1 < arow.len() { arow[2 * t + 1] } else { 0 };
+    let a1 = if 2 * t + 1 < arow.len() {
+        arow[2 * t + 1]
+    } else {
+        0
+    };
     (arow[2 * t], a1)
 }
 
-/// The reference semantics of [`qgemm_row`]: a [`qaxpy2`]-shaped sweep
+/// The reference semantics of [`qgemm_row`]: a [`qaxpy2_scalar`] sweep
 /// per reduction pair, ascending `t`. Integer-exact in any order.
 #[inline]
 fn qgemm_row_scalar(arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i32]) {
     let len = acc.len();
     for t in 0..arow.len().div_ceil(2) {
         let (a0, a1) = arow_pair(arow, t);
-        qaxpy2_scalar(acc, a0, a1, &panel[(t * n + j0) * 2..(t * n + j0 + len) * 2]);
+        qaxpy2_scalar(
+            acc,
+            a0,
+            a1,
+            &panel[(t * n + j0) * 2..(t * n + j0 + len) * 2],
+        );
     }
 }
 
 /// Accumulates one output row of the pair-interleaved int8 GEMM:
 /// `acc[d] += Σ_t a[2t]·panel[(t·n + j0 + d)·2] + a[2t+1]·panel[(t·n +
 /// j0 + d)·2 + 1]` over every reduction pair `t` (phantom `a[k] = 0`
-/// for odd `k = arow.len()`). Unlike a per-pair [`qaxpy2`] sweep, the
+/// for odd `k = arow.len()`). Unlike a per-pair [`qaxpy2_scalar`] sweep, the
 /// vector paths block columns so the accumulators stay in registers
 /// across the *entire* reduction — no per-pair load/add/store traffic.
 /// Integer-exact: every [`Isa`] and column split produce identical
@@ -647,8 +732,11 @@ fn qgemm_row_scalar(arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i
 /// Panics if `panel` is not exactly `2 · ⌈arow.len()/2⌉ · n` bytes or
 /// the column window `j0..j0 + acc.len()` overruns `n`.
 #[inline]
-pub fn qgemm_row(isa: Isa, arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i32]) {
-    assert!(j0 + acc.len() <= n, "qgemm_row column window exceeds panel width");
+pub(crate) fn qgemm_row(isa: Isa, arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i32]) {
+    assert!(
+        j0 + acc.len() <= n,
+        "qgemm_row column window exceeds panel width"
+    );
     assert_eq!(
         panel.len(),
         2 * arow.len().div_ceil(2) * n,
@@ -742,7 +830,12 @@ fn qgemm_row_avx2(arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i32
     if j < len {
         for t in 0..k2 {
             let (a0, a1) = arow_pair(arow, t);
-            qaxpy2_scalar(&mut acc[j..], a0, a1, &panel[(t * n + j0 + j) * 2..(t * n + j0 + len) * 2]);
+            qaxpy2_scalar(
+                &mut acc[j..],
+                a0,
+                a1,
+                &panel[(t * n + j0 + j) * 2..(t * n + j0 + len) * 2],
+            );
         }
     }
 }
@@ -821,7 +914,12 @@ fn qgemm_row_neon(arow: &[i8], panel: &[i8], n: usize, j0: usize, acc: &mut [i32
     if j < len {
         for t in 0..k2 {
             let (a0, a1) = arow_pair(arow, t);
-            qaxpy2_scalar(&mut acc[j..], a0, a1, &panel[(t * n + j0 + j) * 2..(t * n + j0 + len) * 2]);
+            qaxpy2_scalar(
+                &mut acc[j..],
+                a0,
+                a1,
+                &panel[(t * n + j0 + j) * 2..(t * n + j0 + len) * 2],
+            );
         }
     }
 }
@@ -894,33 +992,71 @@ mod tests {
     }
 
     #[test]
-    fn qaxpy2_matches_scalar_on_detected_isa() {
-        let isa = Isa::detect();
-        for len in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 33, 100] {
-            let b: Vec<i8> = (0..2 * len).map(|i| ((i * 53 + 17) % 255) as i8).collect();
-            let mut expect: Vec<i32> = (0..len).map(|i| i as i32 * 1000 - 7).collect();
-            let mut got = expect.clone();
-            qaxpy2_scalar(&mut expect, -42, 113, &b);
-            qaxpy2(isa, &mut got, -42, 113, &b);
-            assert_eq!(got, expect, "len={len} isa={isa:?}");
+    fn qgemm_row_extremes_stay_exact() {
+        // One reduction pair at the i8 extremes: each lane gets
+        // (-127)(-127) + (127)(-127) = 0, then 2·127² for (-127, -127).
+        let panel = vec![-127i8; 64];
+        let mut acc = vec![0i32; 32];
+        qgemm_row(Isa::detect(), &[-127, 127], &panel, 32, 0, &mut acc);
+        assert!(acc.iter().all(|&v| v == 0));
+        qgemm_row(Isa::detect(), &[-127, -127], &panel, 32, 0, &mut acc);
+        assert!(acc.iter().all(|&v| v == 2 * 127 * 127));
+    }
+
+    /// Zero-fills `out` and runs one [`axpy_scalar`] per (row, k): the
+    /// loop [`gemm_tile`] must reproduce bit for bit.
+    fn axpy_loop(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        out.fill(0.0);
+        for (i, orow) in out.chunks_mut(n).enumerate() {
+            for p in 0..k {
+                axpy_scalar(orow, a[i * k + p], &b[p * n..(p + 1) * n]);
+            }
         }
     }
 
     #[test]
-    fn qaxpy2_extremes_stay_exact() {
-        let b = vec![-127i8; 64];
-        let mut acc = vec![0i32; 32];
-        qaxpy2(Isa::detect(), &mut acc, -127, 127, &b);
-        // Each lane: (-127)(-127) + (127)(-127) = 0.
-        assert!(acc.iter().all(|&v| v == 0));
-        qaxpy2(Isa::detect(), &mut acc, -127, -127, &b);
-        assert!(acc.iter().all(|&v| v == 2 * 127 * 127));
+    fn gemm_tile_matches_the_axpy_loop_across_column_tails() {
+        // Widths through every tail length around the 16- and 8-column
+        // blocks; non-finite and signed-zero rhs values ride along.
+        for &(rows, k, n) in &[
+            (4usize, 1usize, 1usize),
+            (4, 3, 7),
+            (8, 13, 24),
+            (4, 9, 31),
+            (12, 5, 60),
+        ] {
+            let a: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos() * 2.0).collect();
+            b[0] = -0.0;
+            if b.len() > 2 {
+                b[1] = f32::INFINITY;
+                b[2] = f32::NAN;
+            }
+            let mut expect = vec![0.0f32; rows * n];
+            axpy_loop(&a, &b, &mut expect, k, n);
+            // Every NaN reads as one: which NaN an add of two NaNs
+            // returns hangs on an operand order the compiler may swap.
+            let bits = |v: &[f32]| {
+                v.iter()
+                    .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                    .collect::<Vec<_>>()
+            };
+            for isa in [Isa::detect(), Isa::Scalar] {
+                let mut got = vec![7.0f32; rows * n];
+                gemm_tile(isa, &a, &b, &mut got, rows, k, n);
+                assert_eq!(
+                    bits(&got),
+                    bits(&expect),
+                    "rows={rows} k={k} n={n} isa={isa:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "panel shorter")]
-    fn qaxpy2_short_panel_panics() {
-        qaxpy2(Isa::Scalar, &mut [0, 0], -1, 1, &[1, 2, 3]);
+    #[should_panic(expected = "rows must come in tiles")]
+    fn gemm_tile_partial_tile_panics() {
+        gemm_tile(Isa::Scalar, &[1.0; 3], &[1.0], &mut [0.0; 3], 3, 1, 1);
     }
 
     #[test]
@@ -978,10 +1114,19 @@ mod tests {
         let isa = Isa::detect();
         // Widths crossing every block boundary (32/16/8 + scalar tail)
         // and both parities of k (phantom odd row).
-        for &(k, n) in &[(1usize, 1usize), (3, 7), (27, 33), (27, 100), (9, 40), (4, 70), (5, 129)] {
+        for &(k, n) in &[
+            (1usize, 1usize),
+            (3, 7),
+            (27, 33),
+            (27, 100),
+            (9, 40),
+            (4, 70),
+            (5, 129),
+        ] {
             let k2 = k.div_ceil(2);
-            let arow: Vec<i8> =
-                (0..k).map(|p| (((p * 37 + 11) % 255) as i32 - 127).clamp(-127, 127) as i8).collect();
+            let arow: Vec<i8> = (0..k)
+                .map(|p| (((p * 37 + 11) % 255) as i32 - 127).clamp(-127, 127) as i8)
+                .collect();
             let panel: Vec<i8> = (0..2 * k2 * n)
                 .map(|i| (((i * 73 + 5) % 255) as i32 - 127).clamp(-127, 127) as i8)
                 .collect();
@@ -1019,19 +1164,27 @@ mod tests {
 
             let qa: Vec<i8> = (0..33).map(|i| (i - 16) as i8).collect();
             let qb: Vec<i8> = (0..33i32).map(|i| (i * 7 % 100 - 50) as i8).collect();
-            assert_eq!(qdot(isa, &qa, &qb), qdot_scalar(&qa, &qb), "qdot isa={isa:?}");
+            assert_eq!(
+                qdot(isa, &qa, &qb),
+                qdot_scalar(&qa, &qb),
+                "qdot isa={isa:?}"
+            );
 
-            let panel: Vec<i8> = (0..66i32).map(|i| (i % 40 - 20) as i8).collect();
-            let mut qe = vec![3i32; 33];
-            let mut qg = qe.clone();
-            qaxpy2_scalar(&mut qe, 5, -9, &panel);
-            qaxpy2(isa, &mut qg, 5, -9, &panel);
-            assert_eq!(qe, qg, "qaxpy2 isa={isa:?}");
+            let (ta, tb): (Vec<f32>, Vec<f32>) = (
+                (0..12).map(|i| i as f32 - 5.5).collect(),
+                (0..33).map(|i| i as f32 * 0.5).collect(),
+            );
+            let mut te = vec![0.0f32; 44];
+            let mut tg = vec![1.0f32; 44];
+            axpy_loop(&ta, &tb, &mut te, 3, 11);
+            gemm_tile(isa, &ta, &tb, &mut tg, 4, 3, 11);
+            assert_eq!(te, tg, "gemm_tile isa={isa:?}");
 
             let (k, n) = (5usize, 33usize);
             let arow: Vec<i8> = (0..k).map(|p| (p as i32 * 11 - 20) as i8).collect();
-            let gp: Vec<i8> =
-                (0..2 * k.div_ceil(2) * n).map(|i| (i as i32 % 50 - 25) as i8).collect();
+            let gp: Vec<i8> = (0..2 * k.div_ceil(2) * n)
+                .map(|i| (i as i32 % 50 - 25) as i8)
+                .collect();
             let mut ge = vec![1i32; n];
             let mut gg = ge.clone();
             qgemm_row_scalar(&arow, &gp, n, 0, &mut ge);

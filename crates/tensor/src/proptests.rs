@@ -260,6 +260,138 @@ proptest! {
     }
 }
 
+/// An lhs whose rows are, at random, zero-free, all zero, or zero at
+/// `zero_rate` or at 25–60 % of their elements (so [`row_is_sparse`]
+/// sends some down the skip route and misses others), and an rhs with
+/// `±inf`, NaN and `-0.0` spliced in at `special_rate`.
+///
+/// [`row_is_sparse`]: crate::kernel
+fn gemm_case(
+    seed: u64,
+    m: usize,
+    k: usize,
+    n: usize,
+    zero_rate: f32,
+    special_rate: f32,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = crate::TensorRng::seed_from(seed);
+    let mut a = vec![0.0f32; m * k];
+    for row in a.chunks_mut(k.max(1)) {
+        let zeros = match rng.index(4) {
+            0 => 0.0,
+            1 => 1.0,
+            2 => zero_rate,
+            _ => 0.25 + 0.35 * rng.unit(),
+        };
+        for v in row {
+            *v = if rng.unit() < zeros {
+                0.0
+            } else {
+                rng.unit() * 2.0 - 1.0
+            };
+        }
+    }
+    const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+    let mut b = vec![0.0f32; k * n];
+    for v in &mut b {
+        *v = if rng.unit() < special_rate {
+            SPECIALS[rng.index(SPECIALS.len())]
+        } else {
+            rng.unit() * 2.0 - 1.0
+        };
+    }
+    (a, b)
+}
+
+/// Runs `[m, k] × [k, n]` on the detected and the scalar ISA at one and
+/// two workers and checks every result's bits against the seed kernel
+/// (routed: see [`crate::kernel::reference_gemm_routed`]; on a finite
+/// rhs it is [`crate::kernel::reference_gemm`] itself).
+fn check_gemm_against_reference(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), String> {
+    // Bits, except that every NaN reads as one: which NaN an add of two
+    // NaNs returns depends on operand order, which the compiler may swap
+    // (x86's `inf − inf` is the negative default NaN, an input NaN is
+    // positive), and the seed kernel's NaNs already differed in sign
+    // from the axpy loop's.
+    let bits = |v: &[f32]| {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect::<Vec<_>>()
+    };
+    let expect = crate::kernel::reference_gemm_routed(a, b, m, k, n);
+    if b.iter().all(|v| v.is_finite())
+        && bits(&expect) != bits(&crate::kernel::reference_gemm(a, b, m, k, n))
+    {
+        return Err(format!(
+            "references part on a finite rhs at m={m} k={k} n={n}"
+        ));
+    }
+    let detected = crate::kernel::Isa::detect();
+    for isa in [detected, crate::kernel::Isa::Scalar] {
+        crate::kernel::set_isa(isa);
+        for threads in [1usize, 2] {
+            let mut out = vec![f32::NAN; m * n];
+            crate::kernel::gemm_into_with_threads(a, b, &mut out, m, k, n, threads);
+            if bits(&out) != bits(&expect) {
+                crate::kernel::set_isa(detected);
+                let at = bits(&out)
+                    .iter()
+                    .zip(bits(&expect))
+                    .position(|(x, y)| *x != y);
+                return Err(format!(
+                    "m={m} k={k} n={n} isa={isa:?} threads={threads}: first difference at {at:?}"
+                ));
+            }
+        }
+    }
+    crate::kernel::set_isa(detected);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gemm_bit_identical_to_the_seed_kernel_across_tile_edges(
+        seed in 0u64..1_000_000,
+        m in 1usize..21, k in 0usize..401, n in 0usize..71,
+        zero_rate in 0.0f32..1.0,
+        special in 0usize..3,
+    ) {
+        // m crosses the 4-row tile (leftover rows 1–3), n every column
+        // tail of the 16- and 8-wide blocks, k reaches the conv fan-ins.
+        // A third of the cases keep the rhs finite; the rest splice in
+        // ±inf, NaN and -0.0, where the zero-skip of sparse rows shows.
+        let special_rate = [0.0, 0.01, 0.2][special];
+        let (a, b) = gemm_case(seed, m, k, n, zero_rate, special_rate);
+        let checked = check_gemm_against_reference(&a, &b, m, k, n);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+#[test]
+fn gemm_bit_identical_to_the_seed_kernel_on_conv_shapes() {
+    // `slow2` and `fast2` of the planned SlowFast forward (16 × 324 × 60
+    // and 8 × 108 × 190), then a GEMM past 2²⁴ flops, the size from which
+    // the process-wide entry points fan out; at two workers its
+    // row-aligned partitions each go through the tile.
+    for (seed, m, k, n) in [(1u64, 16, 324, 60), (2, 8, 108, 190), (3, 16, 324, 1620)] {
+        assert!(m * k * n < 1 << 23 || 2 * m * k * n >= 1 << 24);
+        for (zero_rate, special_rate) in [(0.0, 0.0), (0.5, 0.0), (0.3, 0.01)] {
+            let (a, b) = gemm_case(seed, m, k, n, zero_rate, special_rate);
+            if let Err(e) = check_gemm_against_reference(&a, &b, m, k, n) {
+                panic!("zero_rate={zero_rate} special_rate={special_rate}: {e}");
+            }
+        }
+    }
+}
+
 /// `[oc, n]` = `w · cols + b` through the kernel's GEMM, as a layer does.
 fn conv_gemm(w: &Tensor, b: &[f32], cols: &[f32], n: usize) -> Vec<f32> {
     let (oc, patch) = (w.dims()[0], w.dims()[1]);

@@ -4,7 +4,7 @@
 //! a tensor (its leading-dimension slice) gets one positive scale
 //! `s_i = max|x|/127` (`1.0` for an all-zero row) and stores
 //! `q = round_ties_even(x / s_i)` clamped to `[-127, 127]` (see
-//! [`simd::quantize_value`] for why ties-to-even). For a conv/linear
+//! `kernel::simd`'s `quantize_value` for why ties-to-even). For a conv/linear
 //! weight stored `[out, fan_in]` this is exactly per-output-channel
 //! calibration; for an activation batch `[n, features]` it is per-row
 //! dynamic quantization.
@@ -173,7 +173,8 @@ impl QTensor {
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions or `k`
-/// exceeds [`simd::QDOT_MAX_K`].
+/// exceeds `i32::MAX / 127²` = 133 144, past which the `i32`
+/// accumulator could overflow.
 #[allow(clippy::too_many_arguments)] // two operand/scale pairs + dims: the GEMM shape
 pub fn qgemm_transb_into(
     a: &[i8],
@@ -274,7 +275,7 @@ fn column_scales(cols: &[f32], k: usize, n: usize, scales: &mut [f32]) {
 /// `panel[(t·n + j)·2 + 1] = q(cols[2t + 1, j])`), with one symmetric
 /// scale per column and a zeroed phantom row when `k` is odd. Both
 /// passes stream `cols` row-major — no strided traffic — and the layout
-/// is exactly what lets [`simd::qaxpy2`] fold two `i8 × i8` products
+/// is exactly what lets the int8 row kernel fold two `i8 × i8` products
 /// per `i32` lane in one instruction.
 ///
 /// The quantized value of every real element is identical to
@@ -309,8 +310,7 @@ pub fn quantize_cols_paired(
             let out = &mut qpanel[(t * n + jb) * 2..(t * n + je) * 2];
             // Odd k: the phantom partner row is all zeros, which
             // contributes nothing to any accumulator.
-            let row1 =
-                (2 * t + 1 < k).then(|| &cols[(2 * t + 1) * n + jb..(2 * t + 1) * n + je]);
+            let row1 = (2 * t + 1 < k).then(|| &cols[(2 * t + 1) * n + jb..(2 * t + 1) * n + je]);
             simd::quantize_pair_i8(isa, row0, row1, &inv[..je - jb], out);
         }
         jb = je;
@@ -332,7 +332,8 @@ pub fn quantize_cols_paired(
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions or `k`
-/// exceeds [`simd::QDOT_MAX_K`].
+/// exceeds `i32::MAX / 127²` = 133 144, past which the `i32`
+/// accumulator could overflow.
 #[allow(clippy::too_many_arguments)] // two operand/scale pairs + dims: the GEMM shape
 pub fn qgemm_paired_into(
     a: &[i8],
@@ -346,7 +347,11 @@ pub fn qgemm_paired_into(
 ) {
     let k2 = k.div_ceil(2);
     assert_eq!(a.len(), m * k, "qgemm lhs length mismatch");
-    assert_eq!(bpanel.len(), 2 * k2 * n, "qgemm paired panel length mismatch");
+    assert_eq!(
+        bpanel.len(),
+        2 * k2 * n,
+        "qgemm paired panel length mismatch"
+    );
     assert_eq!(a_scales.len(), m, "qgemm lhs scale count mismatch");
     assert_eq!(b_scales.len(), n, "qgemm rhs scale count mismatch");
     assert_eq!(out.len(), m * n, "qgemm output length mismatch");
@@ -464,7 +469,12 @@ mod tests {
     #[test]
     fn qgemm_matches_reference_across_threads_and_isa() {
         let mut rng = TensorRng::seed_from(6);
-        for (m, k, n) in [(1usize, 1usize, 1usize), (4, 27, 33), (16, 324, 10), (3, 100, 7)] {
+        for (m, k, n) in [
+            (1usize, 1usize, 1usize),
+            (4, 27, 33),
+            (16, 324, 10),
+            (3, 100, 7),
+        ] {
             let wa = rng.uniform(&[m.max(1), k], -1.5, 1.5);
             let wb = rng.uniform(&[n, k], -1.5, 1.5);
             let qa = QTensor::quantize_rows(&wa);

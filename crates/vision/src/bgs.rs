@@ -1,5 +1,6 @@
 //! Dynamic background subtraction.
 
+use crate::frame::pack_flags;
 use crate::{BinaryFrame, GrayFrame};
 
 /// Running-average background subtraction with a dynamic background
@@ -129,19 +130,6 @@ impl BackgroundSubtractor {
         self.initialised = false;
         self.background.iter_mut().for_each(|b| *b = 0.0);
     }
-}
-
-/// Packs 64 flag bytes (each 0 or 1) into a word, flag `i` to bit `i`.
-/// Eight flags at a time: read as a little-endian `u64` they sit at bits
-/// 0, 8, …, 56, and the multiplication adds shifted copies that land
-/// flag `j` on bit `56 + j` — no two partial products meet on one bit, so
-/// nothing carries — leaving the packed byte on top.
-fn pack_flags(flags: &[u8; 64]) -> u64 {
-    const GATHER: u64 = 0x0102_0408_1020_4080;
-    flags.chunks_exact(8).enumerate().fold(0, |word, (i, eight)| {
-        let lanes = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
-        word | (lanes.wrapping_mul(GATHER) >> 56) << (8 * i)
-    })
 }
 
 #[cfg(test)]

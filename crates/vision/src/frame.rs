@@ -77,7 +77,10 @@ impl GrayFrame {
     ///
     /// Panics when out of bounds.
     pub fn at(&self, x: usize, y: usize) -> u8 {
-        assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
+        assert!(
+            x < self.width && y < self.height,
+            "pixel ({x},{y}) out of bounds"
+        );
         self.pixels[y * self.width + x]
     }
 
@@ -87,7 +90,10 @@ impl GrayFrame {
     ///
     /// Panics when out of bounds.
     pub fn set(&mut self, x: usize, y: usize, value: u8) {
-        assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
+        assert!(
+            x < self.width && y < self.height,
+            "pixel ({x},{y}) out of bounds"
+        );
         self.pixels[y * self.width + x] = value;
     }
 
@@ -128,19 +134,31 @@ impl GrayFrame {
         total / self.pixels.len() as f32
     }
 
-    /// Intensity standard deviation.
-    pub fn stddev(&self) -> f32 {
-        let m = self.mean();
-        let var = self
-            .pixels
-            .iter()
-            .map(|&p| {
-                let d = p as f32 - m;
-                d * d
-            })
-            .sum::<f32>()
-            / self.pixels.len() as f32;
-        var.sqrt()
+    /// Packs row `y`'s flags `pixel >= threshold` into words, pixel `x`
+    /// to bit `x % 64` of `words[x / 64]` — a [`BinaryFrame`] row's
+    /// layout — leaving the last word's padding bits zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds or `words` is not one word per 64
+    /// pixels of a row.
+    pub fn pack_row_at_least(&self, y: usize, threshold: u8, words: &mut [u64]) {
+        assert!(y < self.height, "row {y} out of bounds");
+        assert_eq!(
+            words.len(),
+            self.width.div_ceil(64),
+            "one word per 64 pixels"
+        );
+        let row = &self.pixels[y * self.width..(y + 1) * self.width];
+        for (word, pixels) in words.iter_mut().zip(row.chunks(64)) {
+            // The compares first, into one flag byte per pixel (a loop the
+            // compiler vectorises), the packing after.
+            let mut flags = [0u8; 64];
+            for (flag, &p) in flags.iter_mut().zip(pixels) {
+                *flag = u8::from(p >= threshold);
+            }
+            *word = pack_flags(&flags);
+        }
     }
 
     /// Nearest-neighbour resampling to a new size.
@@ -149,7 +167,10 @@ impl GrayFrame {
     ///
     /// Panics if either target dimension is zero.
     pub fn resize(&self, new_width: usize, new_height: usize) -> GrayFrame {
-        assert!(new_width > 0 && new_height > 0, "target dimensions must be positive");
+        assert!(
+            new_width > 0 && new_height > 0,
+            "target dimensions must be positive"
+        );
         let mut out = GrayFrame::new(new_width, new_height);
         for y in 0..new_height {
             let sy = y * self.height / new_height;
@@ -197,6 +218,22 @@ impl GrayFrame {
         }
         s
     }
+}
+
+/// Packs 64 flag bytes (each 0 or 1) into a word, flag `i` to bit `i`.
+/// Eight flags at a time: read as a little-endian `u64` they sit at bits
+/// 0, 8, …, 56, and the multiplication adds shifted copies that land
+/// flag `j` on bit `56 + j` — no two partial products meet on one bit, so
+/// nothing carries — leaving the packed byte on top.
+pub(crate) fn pack_flags(flags: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |word, (i, eight)| {
+            let lanes = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+            word | (lanes.wrapping_mul(GATHER) >> 56) << (8 * i)
+        })
 }
 
 impl fmt::Debug for GrayFrame {
@@ -259,7 +296,10 @@ impl BinaryFrame {
     ///
     /// Panics when out of bounds.
     pub fn get(&self, x: usize, y: usize) -> bool {
-        assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
+        assert!(
+            x < self.width && y < self.height,
+            "pixel ({x},{y}) out of bounds"
+        );
         self.words[y * self.stride() + x / 64] >> (x % 64) & 1 != 0
     }
 
@@ -269,7 +309,10 @@ impl BinaryFrame {
     ///
     /// Panics when out of bounds.
     pub fn put(&mut self, x: usize, y: usize, value: bool) {
-        assert!(x < self.width && y < self.height, "pixel ({x},{y}) out of bounds");
+        assert!(
+            x < self.width && y < self.height,
+            "pixel ({x},{y}) out of bounds"
+        );
         let index = y * self.stride() + x / 64;
         let word = &mut self.words[index];
         *word = *word & !(1 << (x % 64)) | u64::from(value) << (x % 64);
@@ -339,7 +382,10 @@ impl BinaryFrame {
                 (row[first] & first_mask & last_mask).count_ones()
             } else {
                 (row[first] & first_mask).count_ones()
-                    + row[first + 1..last].iter().map(|w| w.count_ones()).sum::<u32>()
+                    + row[first + 1..last]
+                        .iter()
+                        .map(|w| w.count_ones())
+                        .sum::<u32>()
                     + (row[last] & last_mask).count_ones()
             } as usize;
         }
@@ -377,7 +423,28 @@ mod tests {
     fn statistics() {
         let f = GrayFrame::from_pixels(2, 1, vec![0, 100]);
         assert_eq!(f.mean(), 50.0);
-        assert_eq!(f.stddev(), 50.0);
+    }
+
+    #[test]
+    fn pack_row_at_least_sets_exactly_the_bright_pixels() {
+        // Widths around one and two words; threshold 0 sets every pixel,
+        // so only the padding bits can stay clear.
+        for w in [1usize, 63, 64, 65, 127, 128, 129] {
+            let f =
+                GrayFrame::from_pixels(w, 2, (0..2 * w).map(|i| (i * 37 % 256) as u8).collect());
+            let mut words = vec![!0u64; w.div_ceil(64)];
+            for threshold in [0u8, 100, 255] {
+                f.pack_row_at_least(1, threshold, &mut words);
+                for x in 0..64 * words.len() {
+                    let bit = words[x / 64] >> (x % 64) & 1 == 1;
+                    assert_eq!(
+                        bit,
+                        x < w && f.at(x, 1) >= threshold,
+                        "w={w} x={x} t={threshold}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
