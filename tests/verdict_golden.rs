@@ -5,7 +5,10 @@
 //! whose SlowFast eval forward still lowered every position of every
 //! layer densely, and any rewrite of the lowering, the GEMMs, the eval
 //! forward's data flow or the verdict path has to reproduce them bit for
-//! bit — at both precisions, in `process_frame` loops and in a fleet.
+//! bit — at both precisions, in `process_frame` loops and in a fleet,
+//! and across a mid-stream promotion through `bind_scene_model`, which
+//! also catches any per-model cache (a transposed or quantized weight)
+//! that a rebind leaves stale.
 //!
 //! The models are the benchmark's untrained SlowFast-lite with every
 //! bias, BN γ/β and running statistic replaced by deterministic non-zero
@@ -26,35 +29,36 @@ use safecross_videoclass::{SlowFastLite, VideoClassifier};
 use safecross_vision::GrayFrame;
 use std::time::Duration;
 
-/// The three scene models, untrained, with non-zero biases, γ/β and
-/// running statistics drawn from a fixed seed.
+/// An untrained SlowFast-lite drawn from `rng`, with every bias, BN γ/β
+/// and running statistic replaced by non-zero values from the same
+/// stream.
+fn model(rng: &mut TensorRng) -> SlowFastLite {
+    let mut model = SlowFastLite::new(2, rng);
+    let state: Vec<(String, Tensor)> = model
+        .state_dict()
+        .into_iter()
+        .map(|(name, t)| {
+            let value = if name.ends_with(".running_var") || name.ends_with(".gamma") {
+                rng.uniform(t.dims(), 0.5, 1.5)
+            } else if name.ends_with(".bias")
+                || name.ends_with(".beta")
+                || name.ends_with(".running_mean")
+            {
+                rng.uniform(t.dims(), -0.3, 0.3)
+            } else {
+                t
+            };
+            (name, value)
+        })
+        .collect();
+    model.load_state_dict(&state);
+    model
+}
+
+/// The three scene models, drawn by [`model`] from a fixed seed.
 fn models() -> Vec<(Weather, SlowFastLite)> {
     let mut rng = TensorRng::seed_from(0);
-    Weather::ALL
-        .iter()
-        .map(|&w| {
-            let mut model = SlowFastLite::new(2, &mut rng);
-            let state: Vec<(String, Tensor)> = model
-                .state_dict()
-                .into_iter()
-                .map(|(name, t)| {
-                    let value = if name.ends_with(".running_var") || name.ends_with(".gamma") {
-                        rng.uniform(t.dims(), 0.5, 1.5)
-                    } else if name.ends_with(".bias")
-                        || name.ends_with(".beta")
-                        || name.ends_with(".running_mean")
-                    {
-                        rng.uniform(t.dims(), -0.3, 0.3)
-                    } else {
-                        t
-                    };
-                    (name, value)
-                })
-                .collect();
-            model.load_state_dict(&state);
-            (w, model)
-        })
-        .collect()
+    Weather::ALL.iter().map(|&w| (w, model(&mut rng))).collect()
 }
 
 /// `(weather, frames)` phases rendered back to back, one seed per phase.
@@ -92,22 +96,34 @@ fn fold(verdicts: &[Verdict], log: &[SwitchRecord]) -> u64 {
     h.finish()
 }
 
-/// A `process_frame` loop over `frames`, returning the verdict count and
-/// the folded hash.
-fn process(frames: &[GrayFrame]) -> (usize, u64) {
+/// A standalone session with the three scene models registered.
+fn session() -> SafeCross {
     let mut sc = SafeCross::try_new(SafeCrossConfig::default()).expect("valid config");
     for (w, m) in models() {
         sc.register_model(w, m);
     }
-    for f in frames {
-        sc.process_frame(f);
-    }
+    sc
+}
+
+/// The verdict count and folded hash of a session that has switched
+/// scenes at least once.
+fn summary(sc: &SafeCross) -> (usize, u64) {
     assert!(
         sc.switch_count() > 0,
         "no scene switch: the pin would miss the switch path"
     );
     let hash = sc.with_switch_log(|log| fold(sc.verdicts(), log));
     (sc.verdicts().len(), hash)
+}
+
+/// A `process_frame` loop over `frames`, returning the verdict count and
+/// the folded hash.
+fn process(frames: &[GrayFrame]) -> (usize, u64) {
+    let mut sc = session();
+    for f in frames {
+        sc.process_frame(f);
+    }
+    summary(&sc)
 }
 
 #[test]
@@ -133,6 +149,36 @@ fn snow_round_trip_verdicts_match_the_parent_build() {
     let (n, hash) = process(&frames);
     assert_eq!(n, frames.len() - 31);
     assert_eq!(hash, SNOW_ROUND_TRIP, "snow round trip: got {hash:#018x}");
+}
+
+#[test]
+fn promotion_verdicts_match_the_parent_build() {
+    // A rain challenger with other weights (and its own non-zero biases
+    // and BN statistics) goes into the session's store and is promoted
+    // mid-stream, once rain is the classified scene: every later rain
+    // verdict comes from the promoted weights.
+    let frames = footage(&[(Weather::Daytime, 40), (Weather::Rain, 72)], 25);
+    let mut sc = session();
+    let challenger = model(&mut TensorRng::seed_from(1));
+    sc.model_store()
+        .register_model("rain-challenger", &challenger.state_groups());
+    for (i, f) in frames.iter().enumerate() {
+        if i == 64 {
+            assert_eq!(sc.current_scene(), Weather::Rain);
+            let bound = sc
+                .bind_scene_model(Weather::Rain, "rain-challenger")
+                .expect("the challenger is stored");
+            assert!(bound, "rain is the classified scene, so the bind is live");
+        }
+        sc.process_frame(f);
+    }
+    assert_eq!(
+        sc.scene_model_name(Weather::Rain).as_deref(),
+        Some("rain-challenger")
+    );
+    let (n, hash) = summary(&sc);
+    assert_eq!(n, frames.len() - 31);
+    assert_eq!(hash, PROMOTION, "promotion: got {hash:#018x}");
 }
 
 #[test]
@@ -188,3 +234,6 @@ const DAY_TO_RAIN: u64 = 0x3b4a_9438_47c6_44b5;
 const SNOW_ROUND_TRIP: u64 = 0x3e14_bd3b_e27d_1f4d;
 const FLEET_F32: u64 = 0x1862_4d08_88a6_d88c;
 const FLEET_INT8: u64 = 0xbd52_007c_e429_eac7;
+// Printed by the build whose planned eval forward still multiplied a
+// lowered panel.
+const PROMOTION: u64 = 0xee65_1035_6a78_7461;
