@@ -126,7 +126,11 @@ impl ConvCore {
         mode: Mode,
         scratch: &mut KernelScratch,
     ) -> Tensor {
-        assert_eq!(x.shape().dim(1), g.in_channels, "convolution channel mismatch");
+        assert_eq!(
+            x.shape().dim(1),
+            g.in_channels,
+            "convolution channel mismatch"
+        );
         let n = x.shape().dim(0);
         let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
         let plane = ot * oh * ow;
@@ -156,13 +160,15 @@ impl ConvCore {
             .cached_geom
             .expect("convolution backward called before a training forward");
         let n = grad_out.shape().dim(0);
-        assert_eq!(n, self.cached_cols.len(), "batch size changed between passes");
+        assert_eq!(
+            n,
+            self.cached_cols.len(),
+            "batch size changed between passes"
+        );
         let plane = g.out_frames() * g.out_height() * g.out_width();
         let mut dx = Tensor::zeros(&[n, g.in_channels, g.frames, g.height, g.width]);
         for i in 0..n {
-            let dy = grad_out
-                .index_axis0(i)
-                .reshape(&[self.out_channels, plane]);
+            let dy = grad_out.index_axis0(i).reshape(&[self.out_channels, plane]);
             // dW += dy * cols^T (transb: cols rows are already packed)
             let dw = dy.matmul_transb(&self.cached_cols[i]);
             self.weight.grad_mut().add_scaled(&dw, 1.0);
@@ -349,13 +355,14 @@ impl Conv3d {
     /// The eval forward of batch item `item` of `x` over an occupancy
     /// plan. `plan` is the plan of `x`'s `[T, H, W]` grid; the output's
     /// plan is derived into `out_plan`, and only the positions its
-    /// [`GridPlan::columns`] lists are lowered and multiplied, into a
+    /// [`GridPlan::columns`] lists are computed, into a
     /// compact `[1, out_c, columns]` tensor for [`GridPlan::scatter`].
     /// When every output position is active the result is instead the
-    /// dense `[1, out_c, oT, oH, oW]` output itself, lowered with
-    /// [`vol2col_into`] and multiplied straight into place. Either way
-    /// every value is bit-identical to the matching element of
-    /// `forward_scratch(x, Mode::Eval, ..)`, at either precision.
+    /// dense `[1, out_c, oT, oH, oW]` output itself. At f32 the positions
+    /// are computed by [`kernel::conv_direct_into`] from a padded copy of
+    /// the input; at int8 they are lowered into a panel and multiplied.
+    /// Either way every value is bit-identical to the matching element
+    /// of `forward_scratch(x, Mode::Eval, ..)`, at either precision.
     ///
     /// # Panics
     ///
@@ -380,17 +387,21 @@ impl Conv3d {
         let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
         let n = cols.map_or(ot * oh * ow, <[u32]>::len);
         let oc = self.core.out_channels;
-        let mut panel = scratch.take(g.patch_len() * n);
         let mut out = match cols {
-            Some(cols) => {
-                vol2col_cols_into(data, &g, cols, &mut panel);
-                scratch.take_tensor(&[1, oc, n])
-            }
-            None => {
-                vol2col_into(data, &g, &mut panel);
-                scratch.take_tensor(&[1, oc, ot, oh, ow])
-            }
+            Some(_) => scratch.take_tensor(&[1, oc, n]),
+            None => scratch.take_tensor(&[1, oc, ot, oh, ow]),
         };
+        if self.core.qweight.is_none() {
+            let (w, b) = (self.core.weight.value.data(), self.core.bias.value.data());
+            kernel::conv_direct_into(data, &g, w, b, cols, out.data_mut(), scratch);
+            return out;
+        }
+        // int8 quantizes a lowered panel.
+        let mut panel = scratch.take(g.patch_len() * n);
+        match cols {
+            Some(cols) => vol2col_cols_into(data, &g, cols, &mut panel),
+            None => vol2col_into(data, &g, &mut panel),
+        }
         self.core
             .multiply(&panel, out.data_mut(), n, Mode::Eval, scratch);
         scratch.recycle(panel);
@@ -551,7 +562,11 @@ mod tests {
         let worst = worst_gap(&exact, &quant);
         assert!(worst > 0.0 && worst < 0.1, "int8 conv drifted by {worst}");
         conv.set_precision(Precision::F32);
-        assert_eq!(conv.forward(&x, Mode::Eval), exact, "f32 restore must be exact");
+        assert_eq!(
+            conv.forward(&x, Mode::Eval),
+            exact,
+            "f32 restore must be exact"
+        );
     }
 
     #[test]
@@ -584,7 +599,11 @@ mod tests {
         let worst = worst_gap(&exact, &quant);
         assert!(worst > 0.0 && worst < 0.1, "int8 conv drifted by {worst}");
         conv.set_precision(Precision::F32);
-        assert_eq!(conv.forward(&x, Mode::Eval), exact, "f32 restore must be exact");
+        assert_eq!(
+            conv.forward(&x, Mode::Eval),
+            exact,
+            "f32 restore must be exact"
+        );
     }
 
     #[test]
@@ -604,5 +623,41 @@ mod tests {
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.dims(), &[1, 1, 1, 2, 2]);
         assert!(y.data().iter().all(|&v| (v - 3.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn planned_conv_reports_one_gemm_sample() {
+        // One sample of (oc, patch, positions) per planned convolution,
+        // so the GEMM share of a traced clip still counts the convs;
+        // samples from other tests' threads are not this one's.
+        use kernel::{register_gemm_observer, GemmObserverFn, GemmSample};
+        use std::sync::{Arc, Mutex};
+        let mut rng = TensorRng::seed_from(4);
+        let conv = Conv3d::new(2, 5, (3, 3), (1, 2), (1, 1), &mut rng);
+        let mut x = Tensor::zeros(&[1, 2, 4, 8, 8]);
+        x.set(&[0, 1, 2, 3, 5], 1.0);
+        let mut plan = GridPlan::default();
+        plan.fill(x.data(), 4, 8, 8);
+        let (mut out_plan, mut scratch) = (GridPlan::default(), KernelScratch::new());
+        let me = std::thread::current().id();
+        let seen: Arc<Mutex<Vec<(usize, usize, usize)>>> = Arc::default();
+        let log = seen.clone();
+        let observer: Arc<GemmObserverFn> = Arc::new(move |s: &GemmSample| {
+            if std::thread::current().id() == me {
+                log.lock().expect("log").push((s.m, s.k, s.n));
+            }
+        });
+        register_gemm_observer(&observer);
+        let y = conv.forward_planned(&x, 0, &plan, &mut out_plan, &mut scratch);
+        let n = out_plan.columns().expect("one active cell").len();
+        assert_eq!(y.dims(), &[1, 5, n]);
+        assert_eq!(*seen.lock().expect("log"), [(5, 2 * 3 * 3 * 3, n)]);
+        drop(observer);
+        conv.forward_planned(&x, 0, &plan, &mut out_plan, &mut scratch);
+        assert_eq!(
+            seen.lock().expect("log").len(),
+            1,
+            "a dropped observer hears nothing"
+        );
     }
 }

@@ -157,6 +157,10 @@ pub fn vol2col_into(data: &[f32], g: &Conv3dGeom, out: &mut [f32]) {
 /// the clip are found once per axis and copied in runs; the rest are the
 /// zero padding.
 ///
+/// Only the int8 planned eval forward lowers this way, because its
+/// quantizer reads a panel: the f32 one computes the same positions
+/// without one ([`crate::kernel::conv_direct_into`]).
+///
 /// # Panics
 ///
 /// Panics if `data` or `out` lengths disagree with the geometry, or if a
@@ -457,7 +461,9 @@ mod tests {
             pad_s: 0,
         };
         let x = Tensor::from_vec(
-            (0..2 * 4 * 3 * 3).map(|i| (i as f32 * 0.21).sin()).collect(),
+            (0..2 * 4 * 3 * 3)
+                .map(|i| (i as f32 * 0.21).sin())
+                .collect(),
             &[2, 4, 3, 3],
         );
         let cols = vol2col(&x, &g);

@@ -34,6 +34,11 @@
 //!   masked lanes are columns nobody reads or writes. One dispatch
 //!   covers every row block, where the axpy loop dispatched once per
 //!   (row, k).
+//! - [`conv_direct`]: the direct convolution of
+//!   [`crate::kernel::conv_direct_into`], output channels in lanes. Its
+//!   body is safe array code; this module only compiles it once more
+//!   under AVX2, and lanes, as in the tile, never fuse or reorder an
+//!   element's adds.
 //! - [`qdot`]: `Σ a[p]·b[p]` over `i8` operands in an `i32`
 //!   accumulator — the inner loop of the transposed int8 GEMM (both
 //!   operands row-contiguous, deep `k`: the linear-layer shape).
@@ -375,6 +380,33 @@ fn gemm_tile_avx2(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, 
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// f32 direct convolution: output channels in lanes
+// ---------------------------------------------------------------------
+
+/// Runs a direct convolution's safe body on `isa`. The body is plain
+/// array code written for vectorisation; on AVX2 it is compiled under
+/// the target feature, and the scalar and NEON arms run it as the
+/// baseline build compiles it. Lanes are independent output channels
+/// and multiply and add are never fused, so every arm gives the same
+/// bits.
+pub(crate) fn conv_direct(isa: Isa, job: &super::direct::Job, out: &mut [f32]) {
+    match isa.sanitize() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the `sanitize` above only yields `Isa::Avx2` when
+        // `is_x86_feature_detected!("avx2")` holds on this host, so the
+        // target feature is present. The body is safe code.
+        Isa::Avx2 => unsafe { conv_direct_avx2(job, out) },
+        _ => job.run(out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv_direct_avx2(job: &super::direct::Job, out: &mut [f32]) {
+    job.run(out);
 }
 
 // ---------------------------------------------------------------------

@@ -90,23 +90,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Matrix–vector product: `[m, k] x [k] -> [m]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.shape().ndim(), 2, "matvec lhs must be 2-D");
-        assert_eq!(v.shape().ndim(), 1, "matvec rhs must be 1-D");
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        assert_eq!(k, v.len(), "matvec dimension mismatch");
-        // A matvec is A·vᵀ with v as a single packed row: the transb
-        // kernel's row-row dot is exactly the historical per-row sum.
-        let mut out = vec![0.0f32; m];
-        kernel::gemm_transb_into(self.data(), v.data(), &mut out, m, k, 1);
-        Tensor::from_vec(out, &[m])
-    }
-
     /// Dot product of two 1-D tensors.
     ///
     /// # Panics
@@ -187,9 +170,7 @@ mod tests {
 
     #[test]
     fn matvec_and_dot() {
-        let m = Tensor::from_vec(vec![1.0, 0.0, 0.0, 2.0], &[2, 2]);
         let v = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        assert_eq!(m.matvec(&v).data(), &[3.0, 8.0]);
         assert_eq!(v.dot(&v), 25.0);
     }
 

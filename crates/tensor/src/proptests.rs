@@ -392,6 +392,78 @@ fn gemm_bit_identical_to_the_seed_kernel_on_conv_shapes() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The direct kernel against the panel route it replaces — lowered
+    /// columns, the GEMM, the bias — bit for bit (NaNs as one value), over
+    /// every position, a shuffled subset with a repeat, or one position.
+    /// Weight rows run from zero-free to all zero, so the GEMM's sparse
+    /// skip is taken and not; inputs and, at times, a weight carry `±inf`,
+    /// NaN and `-0.0`, which padding taps and skipped zeros turn into
+    /// NaNs exactly where the panel route does, and the scratch arrives
+    /// dirty.
+    #[test]
+    fn direct_conv_matches_the_panel(
+        seed in 0u64..100_000,
+        c in 1usize..4, oc in 1usize..21,
+        t in 1usize..6, h in 1usize..13, w in 1usize..71,
+        kt in 1usize..4, ks in 1usize..4, st in 1usize..3, ss in 1usize..3,
+        pt in 0usize..4, ps in 0usize..4, list in 0usize..3,
+    ) {
+        let (pt, ps) = (pt.min(kt), ps.min(ks));
+        prop_assume!(t + 2 * pt >= kt && h + 2 * ps >= ks && w + 2 * ps >= ks);
+        let g = geom(c, [t, h, w], (kt, st, pt), (ks, ss, ps));
+        let (mut weight, _) = gemm_case(seed, oc, g.patch_len(), 0, 0.3, 0.0);
+        let mut rng = crate::TensorRng::seed_from(seed + 1);
+        const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        if rng.index(4) == 0 {
+            let at = rng.index(weight.len());
+            weight[at] = SPECIALS[rng.index(3)];
+        }
+        let x: Vec<f32> = (0..c * t * h * w)
+            .map(|_| if rng.unit() < 0.02 { SPECIALS[rng.index(4)] } else { rng.unit() * 2.0 - 1.0 })
+            .collect();
+        let bias = rng.uniform(&[oc], -1.0, 1.0).into_vec();
+        let total = g.out_frames() * g.out_height() * g.out_width();
+        let cols: Option<Vec<u32>> = match list {
+            0 => None,
+            1 => {
+                let mut cols: Vec<u32> = (0..total as u32).filter(|_| rng.unit() < 0.3).collect();
+                cols.push(rng.index(total) as u32);
+                for i in (1..cols.len()).rev() {
+                    cols.swap(i, rng.index(i + 1));
+                }
+                Some(cols)
+            }
+            _ => Some(vec![rng.index(total) as u32]),
+        };
+        let n = cols.as_ref().map_or(total, Vec::len);
+        let mut panel = vec![f32::NAN; g.patch_len() * n];
+        match &cols {
+            Some(cols) => vol2col_cols_into(&x, &g, cols, &mut panel),
+            None => vol2col_into(&x, &g, &mut panel),
+        }
+        let weight = Tensor::from_vec(weight, &[oc, g.patch_len()]);
+        let expect = conv_gemm(&weight, &bias, &panel, n);
+        // The scratch arrives dirty: a first convolution leaves NaN
+        // wherever this one's padded copy goes.
+        let mut scratch = crate::KernelScratch::new();
+        let dirty = geom(c, [t + 2 * pt, h + 2 * ps, w + 2 * ps], (1, 1, 0), (1, 1, 0));
+        let nan = vec![f32::NAN; c * (t + 2 * pt) * (h + 2 * ps) * (w + 2 * ps)];
+        let mut sink = vec![0.0; nan.len() / c];
+        crate::kernel::conv_direct_into(&nan, &dirty, &vec![1.0; c], &[0.0], None, &mut sink, &mut scratch);
+        let mut out = vec![f32::NAN; oc * n];
+        crate::kernel::conv_direct_into(
+            &x, &g, weight.data(), &bias, cols.as_deref(), &mut out, &mut scratch,
+        );
+        let bits = |v: &[f32]| {
+            v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect::<Vec<_>>()
+        };
+        prop_assert!(bits(&out) == bits(&expect), "direct differs from the panel at {:?}", g);
+    }
+}
+
 /// `[oc, n]` = `w · cols + b` through the kernel's GEMM, as a layer does.
 fn conv_gemm(w: &Tensor, b: &[f32], cols: &[f32], n: usize) -> Vec<f32> {
     let (oc, patch) = (w.dims()[0], w.dims()[1]);
@@ -563,8 +635,9 @@ fn geom(
 
 /// One 3-output-channel convolution with random weights and non-zero
 /// biases over `input` (planned by `plan`), dense and planned: checks
-/// the planned layer scatters to the dense one bit for bit and returns
-/// the dense output, with its plan in `out`.
+/// that both planned routes — the lowered panel and the direct kernel —
+/// scatter to the dense layer bit for bit, and returns the dense output,
+/// with its plan in `out`.
 fn planned_layer(
     rng: &mut crate::TensorRng,
     input: &[f32],
@@ -579,18 +652,38 @@ fn planned_layer(
     vol2col_into(input, g, &mut cols);
     let dense = conv_gemm(&weight, &bias, &cols, n);
     plan.conv_into(g, out);
-    if let Some(list) = out.columns() {
-        let mut panel = vec![f32::NAN; g.patch_len() * list.len()];
-        vol2col_cols_into(input, g, list, &mut panel);
-        let compact = Tensor::from_vec(
-            conv_gemm(&weight, &bias, &panel, list.len()),
-            &[1, 3, list.len()],
+    let list = out.columns();
+    let m = list.map_or(n, <[u32]>::len);
+    let mut direct = vec![f32::NAN; 3 * m];
+    let mut scratch = crate::KernelScratch::new();
+    crate::kernel::conv_direct_into(
+        input,
+        g,
+        weight.data(),
+        &bias,
+        list,
+        &mut direct,
+        &mut scratch,
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let Some(list) = list else {
+        prop_assert!(
+            bits(&direct) == bits(&dense),
+            "direct full layer differs at {:?}",
+            g
         );
-        let spread = out.scatter(&compact, &mut crate::KernelScratch::new());
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        return Ok(dense);
+    };
+    let mut panel = vec![f32::NAN; g.patch_len() * m];
+    vol2col_cols_into(input, g, list, &mut panel);
+    let routes = [conv_gemm(&weight, &bias, &panel, m), direct];
+    for (route, compact) in ["panel", "direct"].into_iter().zip(routes) {
+        let compact = Tensor::from_vec(compact, &[1, 3, m]);
+        let spread = out.scatter(&compact, &mut scratch);
         prop_assert!(
             bits(spread.data()) == bits(&dense),
-            "planned layer differs at {:?}",
+            "planned {} layer differs at {:?}",
+            route,
             g
         );
     }
