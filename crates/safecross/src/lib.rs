@@ -51,7 +51,7 @@ mod proptests;
 
 pub use errors::{ConfigError, SafeCrossError};
 pub use framework::{
-    classify_stacked, classify_with_model, top_class_from_logits, FrameOutcome, FramePrep, SafeCross,
+    classify_with_model, top_class_from_logits, FrameOutcome, FramePrep, SafeCross,
     SafeCrossConfig, SafeCrossConfigBuilder, Verdict, SCENE_TOTAL_FLOPS,
 };
 pub use scene::{SceneDetector, SceneFeatures};

@@ -2,7 +2,7 @@
 //!
 //! A [`LearnHook`] installed on a [`FleetServer`](crate::FleetServer)
 //! rides the verdict path: every clip a shard classifies is offered to
-//! the hook ([`LearnHook::observe`]) right after its stacked forward,
+//! the hook ([`LearnHook::observe`]) right after its forward,
 //! so a learner can harvest hard clips without adding a single forward
 //! pass to the hot path. In the other direction the hook queues
 //! [`Promotion`]s — adapted challenger checkpoints that won their

@@ -1,7 +1,7 @@
 //! Fault-injection seams for chaos testing the serving layer.
 //!
 //! A [`FaultHook`] installed on a [`FleetServer`](crate::FleetServer)
-//! is consulted by every shard once per executed micro-batch and can
+//! is consulted by every shard once per executed queue entry and can
 //! kill the shard's compute slot (drop all warm state, respawn cold),
 //! stall it, or let it run. Faults are *semantically invisible*: a
 //! killed slot's batch is retried by its respawned replacement — and a

@@ -21,11 +21,11 @@ pub(crate) struct FleetMetrics {
     /// End-to-end admission-to-completion latency
     /// (`serve.frame_age_ms`).
     pub frame_age_ms: Histogram,
-    /// Dispatched micro-batch sizes, in clips (`serve.batch_size`).
+    /// Dispatched queue entry sizes, in clips (`serve.batch_size`).
     pub batch_size: Histogram,
-    /// Micro-batches dispatched across all shards (`serve.batches`).
+    /// Queue entries dispatched across all shards (`serve.batches`).
     pub batches: Counter,
-    /// Batches a shard executed out of *another* shard's queue
+    /// Entries a shard executed out of *another* shard's queue
     /// (`serve.steals`). High steal counts mean the stream→shard
     /// partition is skewed and work-stealing is doing its job.
     pub steals: Counter,
@@ -64,9 +64,9 @@ impl FleetMetrics {
 /// start by each shard thread.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardMetrics {
-    /// Micro-batches this shard executed (own plus stolen).
+    /// Queue entries this shard executed (own plus stolen).
     pub batches: Counter,
-    /// Of those, batches stolen from another shard's queue.
+    /// Of those, entries stolen from another shard's queue.
     pub steals: Counter,
 }
 

@@ -118,8 +118,8 @@ pub(crate) struct StreamSession {
     hot_until: u64,
     /// The precision this stream's clips classify at (fixed at open
     /// time via [`crate::StreamSpec::with_precision`]). Rides on every
-    /// dispatched [`crate::executor::ClipJob`] and so keys the batch
-    /// grouping: int8 and f32 streams never share a stacked forward.
+    /// dispatched [`crate::executor::ClipJob`] and so picks the
+    /// replica it runs on: int8 and f32 streams never share one.
     pub precision: Precision,
     pub stats: StreamStats,
 }
@@ -146,9 +146,8 @@ impl StreamSession {
 
     /// The checkpoint this session's frames for `weather` classify
     /// under: the weather label until a continual-learning promotion
-    /// rebinds the scene to an adapted challenger. Drives batch
-    /// grouping, so a promoted stream never shares a stacked forward
-    /// with streams still on the base checkpoint.
+    /// rebinds the scene to an adapted challenger. Picks the replica
+    /// each of the stream's clip jobs runs on.
     pub(crate) fn model_for(&self, weather: Weather) -> Arc<str> {
         self.inner
             .scene_model_name(weather)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Paired parent/change runs of one e2e-bench workload, the way CHANGES.md
+# Paired parent/change runs of e2e-bench workloads, the way CHANGES.md
 # entries report them: the parent revision is exported to a scratch
 # directory (`git archive`, so offline and without touching .git), both
 # `e2e` binaries are built once with the command of BENCHMARK.json, and
@@ -9,15 +9,21 @@
 # how many pairs the change won, the exact two-sided sign-test p-value
 # over the decided (non-tied) pairs, and `claim-ready yes` when the change
 # won at least nine in ten pairs and its median moved by more than the
-# parent's interquartile range.
+# parent's interquartile range. The workload `all` runs every workload
+# of BENCHMARK.json in turn against the same two builds and prints one
+# summary per workload: the evidence a no-regression change shows.
 #
-#   scripts/paired_bench.sh <parent-rev> <workload> [pairs=10] [seconds=16]
+#   scripts/paired_bench.sh <parent-rev> <workload|all> [pairs=10] [seconds=16]
 #
 # The scratch directory is made under ${TMPDIR:-/tmp} and removed on exit.
 set -eu
-[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
-rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-16}
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+rev=$1 workloads=$2 pairs=${3:-10} seconds=${4:-16}
 change=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$workloads" = all ]; then
+  # Workload entries are the objects of BENCHMARK.json that carry a "why".
+  workloads=$(sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p' "$change/BENCHMARK.json")
+fi
 parent=$(mktemp -d "${TMPDIR:-/tmp}/safecross-parent.XXXXXX")
 out=$(mktemp "${TMPDIR:-/tmp}/safecross-pairs.XXXXXX")
 trap 'rm -rf "$parent" "$out"' EXIT
@@ -34,18 +40,8 @@ run() { # <root> <side> <seed>
     tail -n 1 | sed "s/^/$2 $3 /" >> "$out"
 }
 
-i=0
-while [ "$i" -lt "$pairs" ]; do
-  seed=$((7 + i))
-  if [ $((i % 2)) -eq 0 ]; then
-    run "$parent" parent "$seed"; run "$change" change "$seed"
-  else
-    run "$change" change "$seed"; run "$parent" parent "$seed"
-  fi
-  i=$((i + 1))
-done
-
-echo "# $workload: change (working tree) vs parent $(git -C "$change" rev-parse --short "$rev"), $pairs pairs x ${seconds}s, nproc $(nproc)"
+# Summarises the pairs recorded in $out.
+summarize() {
 awk '
   function metric(line, name,    pat) {
     pat = "\"" name "\": \\{\"value\": [-+0-9.eE]+"
@@ -108,3 +104,21 @@ awk '
         wins[m], ns, ns - decided[m], sign_p(wins[m], decided[m]), ready
     }
   }' "$out"
+}
+
+for workload in $workloads; do
+  : > "$out"
+  i=0
+  while [ "$i" -lt "$pairs" ]; do
+    seed=$((7 + i))
+    if [ $((i % 2)) -eq 0 ]; then
+      run "$parent" parent "$seed"; run "$change" change "$seed"
+    else
+      run "$change" change "$seed"; run "$parent" parent "$seed"
+    fi
+    i=$((i + 1))
+  done
+
+  echo "# $workload: change (working tree) vs parent $(git -C "$change" rev-parse --short "$rev"), $pairs pairs x ${seconds}s, nproc $(nproc)"
+  summarize
+done
