@@ -49,7 +49,10 @@ impl fmt::Display for ConfigError {
                 frame_width,
                 frame_height,
             } => {
-                write!(f, "frame dimensions must be nonzero, got {frame_width}x{frame_height}")
+                write!(
+                    f,
+                    "frame dimensions must be nonzero, got {frame_width}x{frame_height}"
+                )
             }
         }
     }
@@ -78,7 +81,10 @@ impl fmt::Display for SafeCrossError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SafeCrossError::Config(e) => write!(f, "invalid configuration: {e}"),
-            SafeCrossError::NoModel { weather, registered } => {
+            SafeCrossError::NoModel {
+                weather,
+                registered,
+            } => {
                 write!(f, "no model registered for {weather} (registered: ")?;
                 for (i, w) in registered.iter().enumerate() {
                     if i > 0 {
@@ -128,7 +134,10 @@ mod tests {
             registered: vec![Weather::Daytime, Weather::Rain],
         };
         let s = e.to_string();
-        assert!(s.contains("snow") && s.contains("daytime") && s.contains("rain"), "{s}");
+        assert!(
+            s.contains("snow") && s.contains("daytime") && s.contains("rain"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::framework::{SafeCross, SafeCrossConfig};
 use crate::throughput::{throughput_study, ThroughputReport};
 use safecross_dataset::{Dataset, DatasetSpec, SegmentGenerator};
 use safecross_fewshot::train_from_scratch;
-use safecross_tensor::TensorRng;
 use safecross_telemetry::Snapshot;
+use safecross_tensor::TensorRng;
 use safecross_trafficsim::Weather;
 use safecross_videoclass::{
     evaluate, train, C3dLite, EvalReport, SlowFastLite, TrainConfig, TsnLite,
@@ -181,7 +181,11 @@ fn adapt_scene(
 ) -> (SlowFastLite, EvalReport, Vec<usize>) {
     // Scarce scenes get 3-fold repetition so the reported accuracy is not
     // hostage to one tiny split (the paper's rain test is just as small).
-    let folds = if data.indices_of_weather(weather).len() < 40 { 3 } else { 1 };
+    let folds = if data.indices_of_weather(weather).len() < 40 {
+        3
+    } else {
+        1
+    };
     let mut reports = Vec::with_capacity(folds);
     let mut last = None;
     for _ in 0..folds {
@@ -210,7 +214,11 @@ fn adapt_scene(
 /// # Panics
 ///
 /// Panics if the scene has fewer than 4 segments.
-pub fn scene_split(data: &Dataset, weather: Weather, rng: &mut TensorRng) -> (Vec<usize>, Vec<usize>) {
+pub fn scene_split(
+    data: &Dataset,
+    weather: Weather,
+    rng: &mut TensorRng,
+) -> (Vec<usize>, Vec<usize>) {
     let mut idx = data.indices_of_weather(weather);
     assert!(idx.len() >= 4, "{weather}: need at least 4 segments");
     rng.shuffle(&mut idx);
@@ -258,7 +266,10 @@ pub fn scene_shots(data: &Dataset, weather: Weather, cfg: &ExperimentConfig) -> 
                 .filter(|&&i| data.get(i).label.class == Class::Safe)
                 .count(),
         );
-    (per_class / 3).clamp(cfg.k_shot.min(per_class.saturating_sub(1)).max(1), cfg.k_shot * 4)
+    (per_class / 3).clamp(
+        cfg.k_shot.min(per_class.saturating_sub(1)).max(1),
+        cfg.k_shot * 4,
+    )
 }
 
 /// Balanced `k`-shot support selection; everything else becomes test.
@@ -320,7 +331,11 @@ impl fmt::Display for ArchitectureResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Models                      Top1_acc   Mean_class_acc")?;
         for row in &self.rows {
-            writeln!(f, "{:<27} {:<10.4} {:.4}", row.model, row.top1, row.mean_class)?;
+            writeln!(
+                f,
+                "{:<27} {:<10.4} {:.4}",
+                row.model, row.top1, row.mean_class
+            )?;
         }
         Ok(())
     }
@@ -407,7 +422,10 @@ pub struct FewshotResult {
 
 impl fmt::Display for FewshotResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Experiments                        Top1_acc   Mean_class_acc")?;
+        writeln!(
+            f,
+            "Experiments                        Top1_acc   Mean_class_acc"
+        )?;
         for row in &self.rows {
             writeln!(
                 f,
@@ -443,8 +461,7 @@ pub fn table5_fewshot(
         });
 
         let fresh = SlowFastLite::new(2, &mut rng);
-        let mut scratch =
-            train_from_scratch(fresh, data, &train_pool, cfg.epochs, 0.05, cfg.seed);
+        let mut scratch = train_from_scratch(fresh, data, &train_pool, cfg.epochs, 0.05, cfg.seed);
         let without_fs = evaluate(&mut scratch, data, &test);
         rows.push(FewshotRow {
             experiment: format!("{weather} without few shot learning"),
@@ -600,8 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn throughput_test_set_is_the_papers_63(
-    ) {
+    fn throughput_test_set_is_the_papers_63() {
         // Structure only (no training): the generated blind-zone test set
         // always holds 63 segments with the paper's 32/31 split intent.
         let cfg = ExperimentConfig::smoke_test();
