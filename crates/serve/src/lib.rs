@@ -15,9 +15,10 @@
 //!   A session is an inert state machine: no thread, no lock, no
 //!   blocking call — which is what lets one process hold 10k of them.
 //! - sources ([`FrameSource`]) — every feed shape (pre-rendered
-//!   vectors, paced live stand-ins, replay-timed, arbitrary iterators)
-//!   behind one non-blocking poll contract, so `run`, `run_reference`,
-//!   and trace replay share a single ingestion signature.
+//!   vectors, paced live stand-ins, replay-timed and stalling feeds)
+//!   behind one non-blocking poll contract, polled inline by the
+//!   owning shard, so `run`, `run_reference`, and trace replay share a
+//!   single ingestion signature.
 //! - shards (internal) — streams are partitioned `i % shards` across
 //!   [`ServeConfig::shards`] threads. Each shard owns its partition's
 //!   admission, shedding and priority scheduling, pushes clip jobs onto
@@ -106,6 +107,5 @@ pub use safecross_tensor::Precision;
 pub use server::{AgeProfile, FleetReport, FleetServer, StreamHandle, StreamReport, StreamSpec};
 pub use session::{StreamId, StreamStats};
 pub use source::{
-    paced_feed, BoxedSource, FrameFeed, FrameSource, IntoFrameSource, IterSource, PacedSource,
-    SourcePoll, TimedSource, VecSource,
+    paced_feed, BoxedSource, FrameSource, IntoFrameSource, PacedSource, SourcePoll, TimedSource,
 };

@@ -6,7 +6,7 @@ use crate::executor::{Batch, ClipJob, Completion, ExecStats, ShardCompute};
 use crate::fault::{FaultHook, WorkerAction};
 use crate::metrics::{FleetMetrics, ShardMetrics};
 use crate::session::{StreamId, StreamSession, StreamStats};
-use crate::source::{FrameSource, IntoFrameSource, SourcePoll};
+use crate::source::{BoxedSource, FrameSource, IntoFrameSource, SourcePoll};
 use safecross::{SafeCross, SafeCrossConfig, Verdict};
 use safecross_modelswitch::{ModelRegistry, SwitchFaultHook};
 use safecross_telemetry::Registry;
@@ -16,7 +16,7 @@ use safecross_videoclass::{SlowFastLite, VideoClassifier};
 use safecross_vision::GrayFrame;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -24,10 +24,6 @@ use std::time::{Duration, Instant};
 /// How long an idle shard naps before re-polling its sources, queues,
 /// and the steal ring.
 const IDLE_NAP: Duration = Duration::from_micros(100);
-
-/// How long a feeder thread naps when its (nominally blocking) source
-/// reports [`SourcePoll::Pending`] instead of blocking.
-const FEEDER_NAP: Duration = Duration::from_micros(200);
 
 /// Admission-to-completion latency percentiles of one run, in ms.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -577,10 +573,10 @@ impl FleetServer {
     /// streams) settles at once and steals for the whole run, so one
     /// camera is simply a fleet of one: its owning shard prepares
     /// frame `t+1` while another core classifies frame `t`.
-    /// Blocking sources get a feeder thread each; inline
-    /// sources are polled by the owning shard. Returns when every
-    /// source is exhausted and every admitted-and-not-shed frame has
-    /// completed.
+    /// Every source is polled inline by its owning shard, so a run
+    /// starts exactly [`ServeConfig::shards`] threads whatever its
+    /// feeds are. Returns when every source is exhausted and every
+    /// admitted-and-not-shed frame has completed.
     ///
     /// With shedding disabled this is lossless: backpressure pauses
     /// scheduling rather than dropping frames, and per-stream outputs
@@ -615,22 +611,11 @@ impl FleetServer {
         let sessions = std::mem::take(&mut self.sessions);
         let total = sessions.len();
         let mut lanes: Vec<Vec<ShardStream>> = (0..shard_count).map(|_| Vec::new()).collect();
-        let mut feeders: Vec<(Box<dyn FrameSource>, Sender<GrayFrame>)> = Vec::new();
         for (global, (session, feed)) in sessions.into_iter().zip(feeds).enumerate() {
-            let source = feed.into_source();
-            let ingest = if source.is_blocking() {
-                // A blocking source gets a feeder thread so its stalls
-                // land on nobody's shard.
-                let (tx, rx) = mpsc::channel();
-                feeders.push((Box::new(source), tx));
-                Ingest::Feeder(rx)
-            } else {
-                Ingest::Inline(Box::new(source))
-            };
             lanes[global % shard_count].push(ShardStream {
                 global,
                 session,
-                ingest,
+                source: Some(feed.into_source().boxed()),
             });
         }
 
@@ -649,19 +634,6 @@ impl FleetServer {
         }
 
         let outcomes: Vec<ShardOutcome> = thread::scope(|s| {
-            for (mut source, tx) in feeders {
-                s.spawn(move || loop {
-                    match source.poll(Instant::now()) {
-                        SourcePoll::Ready(frame) => {
-                            if tx.send(frame).is_err() {
-                                break;
-                            }
-                        }
-                        SourcePoll::Pending => thread::sleep(FEEDER_NAP),
-                        SourcePoll::Done => break,
-                    }
-                });
-            }
             let handles: Vec<_> = lanes
                 .into_iter()
                 .zip(done_rxs)
@@ -809,22 +781,13 @@ impl SharedRun {
     }
 }
 
-/// Where one stream's frames come from during a sharded run.
-enum Ingest {
-    /// A non-blocking source, polled inline by the owning shard.
-    Inline(Box<dyn FrameSource>),
-    /// A blocking source, pumped by a feeder thread into this channel.
-    Feeder(Receiver<GrayFrame>),
-    /// Exhausted — this stream will never see another frame.
-    Finished,
-}
-
 /// One stream as a shard sees it: the inert session plus its frame
 /// supply and its fleet-wide index.
 struct ShardStream {
     global: usize,
     session: StreamSession,
-    ingest: Ingest,
+    /// Polled inline by the owning shard; `None` once exhausted.
+    source: Option<BoxedSource>,
 }
 
 /// What one shard hands back when the run settles.
@@ -972,47 +935,27 @@ impl Shard<'_> {
         let mut any = false;
         let now = Instant::now();
         for lane in &mut self.streams {
-            loop {
-                let mut finished = false;
-                let frame = match &mut lane.ingest {
-                    Ingest::Inline(source) => match source.poll(now) {
-                        SourcePoll::Ready(frame) => Some(frame),
-                        SourcePoll::Pending => None,
-                        SourcePoll::Done => {
-                            finished = true;
-                            None
-                        }
-                    },
-                    Ingest::Feeder(rx) => match rx.try_recv() {
-                        Ok(frame) => Some(frame),
-                        Err(TryRecvError::Empty) => None,
-                        Err(TryRecvError::Disconnected) => {
-                            finished = true;
-                            None
-                        }
-                    },
-                    Ingest::Finished => None,
-                };
-                if finished {
-                    lane.ingest = Ingest::Finished;
+            while let Some(source) = &mut lane.source {
+                match source.poll(now) {
+                    SourcePoll::Ready(frame) => {
+                        lane.session.admit(
+                            frame,
+                            self.config.shedding,
+                            self.config.queue_capacity,
+                            self.fleet,
+                        );
+                        any = true;
+                    }
+                    SourcePoll::Pending => break,
+                    SourcePoll::Done => lane.source = None,
                 }
-                let Some(frame) = frame else { break };
-                lane.session.admit(
-                    frame,
-                    self.config.shedding,
-                    self.config.queue_capacity,
-                    self.fleet,
-                );
-                any = true;
             }
         }
         any
     }
 
     fn sources_finished(&self) -> bool {
-        self.streams
-            .iter()
-            .all(|t| matches!(t.ingest, Ingest::Finished))
+        self.streams.iter().all(|t| t.source.is_none())
     }
 
     /// Prepares queued frames up to the per-shard in-flight cap.

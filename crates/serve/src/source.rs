@@ -1,38 +1,32 @@
 //! Frame ingestion: one trait over every feed shape.
 //!
-//! Earlier revisions special-cased three kinds of input — pre-rendered
-//! `Vec<GrayFrame>` clips, paced live-camera stand-ins, and
-//! replay-driven feeds — behind `Vec<FrameFeed>` boxes whose `next`
-//! could block. The shard loop cannot afford blocking: one stalled
-//! camera must cost its own stream, never its shard. [`FrameSource`]
-//! splits the contract in two:
+//! The shard loop cannot afford blocking: one stalled camera must cost
+//! its own stream, never its shard. So every [`FrameSource`] answers
+//! without waiting, and its contract has two halves:
 //!
-//! - [`FrameSource::poll`] is the non-blocking serving path. Sources
-//!   that can answer without waiting ([`VecSource`], [`PacedSource`],
-//!   [`TimedSource`]) are polled inline by the owning shard.
-//! - [`FrameSource::is_blocking`] marks sources whose `poll` may wait
-//!   (arbitrary iterators wrapped in [`IterSource`], e.g. chaos feeds
-//!   that sleep mid-stream). The fleet runs each of those on a
-//!   dedicated feeder thread so the block lands on nobody's shard.
+//! - [`FrameSource::poll`] is the serving path. The owning shard polls
+//!   each of its sources inline; a source with no frame due yet (a
+//!   paced camera between frames, a stalled one mid-gap) reports
+//!   [`SourcePoll::Pending`] and the shard serves other streams.
 //! - [`FrameSource::drain`] is the clock-free total input the
 //!   deterministic reference mode consumes.
 //!
+//! A stall is a frame that is not yet due ([`TimedSource`]), so a run
+//! starts only its shard threads. A camera whose reader has to block (a
+//! socket, a decoder) keeps that block on its own reader thread and
+//! hands frames to a non-blocking `poll`, say through a channel's
+//! `try_recv`.
+//!
 //! [`IntoFrameSource`] lets `run`/`run_reference` accept every shape
-//! through one signature: a `Vec<GrayFrame>`, a legacy [`FrameFeed`],
-//! or any source type, including [`BoxedSource`] for heterogeneous
-//! fleets.
+//! through one signature: a `Vec<GrayFrame>` (flooded at once) or any
+//! source type, including [`BoxedSource`] for heterogeneous fleets.
 
 use safecross_vision::GrayFrame;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// A stream's legacy frame feed: any sendable iterator. Its `next` may
-/// block to pace (or stall) its feed, so the fleet runs it through
-/// [`IterSource`] on a dedicated feeder thread.
-pub type FrameFeed = Box<dyn Iterator<Item = GrayFrame> + Send>;
-
 /// A boxed [`FrameSource`] — the element type to use when one fleet
-/// mixes source kinds (say, a stalled iterator next to flood feeds).
+/// mixes source kinds (say, a stalling replay next to flood feeds).
 pub type BoxedSource = Box<dyn FrameSource>;
 
 /// One non-blocking poll's outcome.
@@ -48,27 +42,17 @@ pub enum SourcePoll {
 
 /// One stream's frame supply.
 ///
-/// Implementations must be `Send`: inline sources move to their owning
-/// shard's thread, blocking ones to a feeder thread.
+/// Implementations must be `Send`: each source moves to its owning
+/// shard's thread.
 pub trait FrameSource: Send {
-    /// Yields the next frame if one is due at `now`.
-    ///
-    /// For non-blocking sources ([`FrameSource::is_blocking`] is
-    /// `false`) this must return without waiting. Blocking sources are
-    /// only ever polled from a dedicated feeder thread and may sleep.
+    /// Yields the next frame if one is due at `now`. Must return
+    /// without waiting: the owning shard polls it inline.
     fn poll(&mut self, now: Instant) -> SourcePoll;
-
-    /// Whether [`FrameSource::poll`] may block. Defaults to `false`;
-    /// the fleet gives each `true` source its own feeder thread.
-    fn is_blocking(&self) -> bool {
-        false
-    }
 
     /// Consumes the source into its complete frame sequence — the
     /// clock-free total input
     /// [`FleetServer::run_reference`](crate::FleetServer::run_reference)
-    /// replays. Pacing is ignored; a blocking source may take real time
-    /// to drain.
+    /// replays. Pacing is ignored and no clock is read.
     fn drain(&mut self) -> Vec<GrayFrame>;
 
     /// Boxes this source as a [`BoxedSource`] for heterogeneous fleets.
@@ -85,45 +69,12 @@ impl FrameSource for BoxedSource {
         (**self).poll(now)
     }
 
-    fn is_blocking(&self) -> bool {
-        (**self).is_blocking()
-    }
-
     fn drain(&mut self) -> Vec<GrayFrame> {
         (**self).drain()
     }
 
     fn boxed(self) -> BoxedSource {
         self
-    }
-}
-
-/// Pre-rendered frames delivered as fast as the shard will take them —
-/// the flood shape `e2e-bench` and the lossless equivalence runs use.
-#[derive(Debug)]
-pub struct VecSource {
-    frames: VecDeque<GrayFrame>,
-}
-
-impl VecSource {
-    /// Wraps `frames` for immediate delivery in order.
-    pub fn new(frames: Vec<GrayFrame>) -> Self {
-        VecSource {
-            frames: frames.into(),
-        }
-    }
-}
-
-impl FrameSource for VecSource {
-    fn poll(&mut self, _now: Instant) -> SourcePoll {
-        match self.frames.pop_front() {
-            Some(frame) => SourcePoll::Ready(frame),
-            None => SourcePoll::Done,
-        }
-    }
-
-    fn drain(&mut self) -> Vec<GrayFrame> {
-        std::mem::take(&mut self.frames).into()
     }
 }
 
@@ -217,45 +168,6 @@ impl FrameSource for TimedSource {
     }
 }
 
-/// An arbitrary iterator as a source. The iterator's `next` may block
-/// (pacing sleeps, chaos stalls), so this source reports
-/// [`FrameSource::is_blocking`] and runs on a feeder thread.
-pub struct IterSource {
-    iter: FrameFeed,
-}
-
-impl IterSource {
-    /// Wraps any sendable frame iterator.
-    pub fn new(iter: impl Iterator<Item = GrayFrame> + Send + 'static) -> Self {
-        IterSource {
-            iter: Box::new(iter),
-        }
-    }
-}
-
-impl std::fmt::Debug for IterSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("IterSource(..)")
-    }
-}
-
-impl FrameSource for IterSource {
-    fn poll(&mut self, _now: Instant) -> SourcePoll {
-        match self.iter.next() {
-            Some(frame) => SourcePoll::Ready(frame),
-            None => SourcePoll::Done,
-        }
-    }
-
-    fn is_blocking(&self) -> bool {
-        true
-    }
-
-    fn drain(&mut self) -> Vec<GrayFrame> {
-        self.iter.by_ref().collect()
-    }
-}
-
 /// Wraps pre-rendered frames as a paced source delivering one frame
 /// every `interval` (the first immediately). `Duration::ZERO` floods
 /// the fleet with the whole clip at once.
@@ -264,8 +176,57 @@ pub fn paced_feed(frames: Vec<GrayFrame>, interval: Duration) -> PacedSource {
 }
 
 /// Conversion into a [`FrameSource`] — the single ingestion signature
-/// `run`/`run_reference` share. Implemented for raw frame vectors,
-/// legacy [`FrameFeed`] iterators, and every source type (identity).
+/// `run`/`run_reference` share. Implemented for raw frame vectors
+/// (a zero-interval [`PacedSource`]: every frame due at once) and for
+/// every source type, which converts into itself.
+///
+/// A custom source needs no box of its own:
+///
+/// ```
+/// use safecross::SafeCrossConfig;
+/// use safecross_serve::{FleetServer, FrameSource, ServeConfig, SourcePoll, StreamSpec};
+/// use safecross_tensor::TensorRng;
+/// use safecross_trafficsim::Weather;
+/// use safecross_videoclass::SlowFastLite;
+/// use safecross_vision::GrayFrame;
+/// use std::time::Instant;
+///
+/// /// `left` flat frames of one shade, all due at once.
+/// struct Flat {
+///     shade: u8,
+///     left: usize,
+/// }
+///
+/// impl FrameSource for Flat {
+///     fn poll(&mut self, _now: Instant) -> SourcePoll {
+///         if self.left == 0 {
+///             return SourcePoll::Done;
+///         }
+///         self.left -= 1;
+///         SourcePoll::Ready(GrayFrame::filled(320, 240, self.shade))
+///     }
+///
+///     fn drain(&mut self) -> Vec<GrayFrame> {
+///         let frames = vec![GrayFrame::filled(320, 240, self.shade); self.left];
+///         self.left = 0;
+///         frames
+///     }
+/// }
+///
+/// let config = ServeConfig::builder()
+///     .stream(SafeCrossConfig {
+///         min_confidence: 0.0,
+///         ..SafeCrossConfig::default()
+///     })
+///     .build()?;
+/// let mut fleet = FleetServer::new(config)?;
+/// let mut rng = TensorRng::seed_from(7);
+/// fleet.register_model(Weather::Daytime, SlowFastLite::new(2, &mut rng))?;
+/// fleet.open_stream(StreamSpec::new())?;
+/// let report = fleet.run_reference(vec![Flat { shade: 90, left: 20 }])?;
+/// assert_eq!(report.completed, 20);
+/// # Ok::<(), safecross_serve::ServeError>(())
+/// ```
 pub trait IntoFrameSource {
     /// The source this value converts into.
     type Source: FrameSource + 'static;
@@ -275,34 +236,20 @@ pub trait IntoFrameSource {
 }
 
 impl IntoFrameSource for Vec<GrayFrame> {
-    type Source = VecSource;
+    type Source = PacedSource;
 
-    fn into_source(self) -> VecSource {
-        VecSource::new(self)
+    fn into_source(self) -> PacedSource {
+        PacedSource::new(self, Duration::ZERO)
     }
 }
 
-impl IntoFrameSource for FrameFeed {
-    type Source = IterSource;
+impl<S: FrameSource + 'static> IntoFrameSource for S {
+    type Source = S;
 
-    fn into_source(self) -> IterSource {
-        IterSource { iter: self }
+    fn into_source(self) -> S {
+        self
     }
 }
-
-macro_rules! identity_into_source {
-    ($($ty:ty),* $(,)?) => {$(
-        impl IntoFrameSource for $ty {
-            type Source = $ty;
-
-            fn into_source(self) -> $ty {
-                self
-            }
-        }
-    )*};
-}
-
-identity_into_source!(VecSource, PacedSource, TimedSource, IterSource, BoxedSource);
 
 #[cfg(test)]
 mod tests {
@@ -313,8 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn vec_source_floods_in_order() {
-        let mut src = VecSource::new(vec![frame(1), frame(2)]);
+    fn frame_vectors_flood_in_order() {
+        let mut src = vec![frame(1), frame(2)].into_source();
         let now = Instant::now();
         assert!(matches!(src.poll(now), SourcePoll::Ready(f) if f.at(0, 0) == 1));
         assert!(matches!(src.poll(now), SourcePoll::Ready(f) if f.at(0, 0) == 2));
@@ -353,9 +300,10 @@ mod tests {
     fn drain_ignores_pacing() {
         let mut paced = PacedSource::new(vec![frame(1), frame(2)], Duration::from_secs(60));
         assert_eq!(paced.drain().len(), 2);
-        let feed: FrameFeed = Box::new(vec![frame(3)].into_iter());
-        let mut iter = feed.into_source();
-        assert!(iter.is_blocking());
-        assert_eq!(iter.drain().len(), 1);
+        let mut timed = TimedSource::new(vec![
+            (Duration::ZERO, frame(3)),
+            (Duration::from_secs(3600), frame(4)),
+        ]);
+        assert_eq!(timed.drain().len(), 2);
     }
 }
