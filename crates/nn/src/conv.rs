@@ -1,9 +1,10 @@
 //! 2-D and 3-D convolution: one vol2col + GEMM core, two public shapes.
 
+use crate::layer::Int8Weight;
 use crate::{Layer, Mode, Param};
 use safecross_tensor::{
     col2vol, kernel, qtensor, vol2col_cols_into, vol2col_into, Conv3dGeom, GridPlan, KernelScratch,
-    Precision, QTensor, Tensor, TensorRng,
+    Precision, Tensor, TensorRng,
 };
 
 /// The lowered convolution both public layers drive: weights, caches and
@@ -20,7 +21,7 @@ struct ConvCore {
     cached_geom: Option<Conv3dGeom>,
     // Some(..) only while Precision::Int8 is selected: the [out_c,
     // fan_in] weight quantized per output channel.
-    qweight: Option<QTensor>,
+    qweight: Option<Int8Weight>,
 }
 
 impl ConvCore {
@@ -58,33 +59,25 @@ impl ConvCore {
         }
     }
 
-    /// The int8 lowered convolution for one batch item: quantize the
-    /// `[patch, plane]` vol2col matrix per column into the
-    /// pair-interleaved panel, run the flat integer GEMM against the
-    /// per-channel quantized weight.
+    /// The int8 product of a lowered `[patch, plane]` panel: quantize it
+    /// per column, multiply on the f32 GEMM (exact, see
+    /// [`safecross_tensor::qtensor`]), then scale each sum by its
+    /// channel's and its column's scale.
     fn gemm_int8_cols(
         &self,
-        qw: &QTensor,
+        qw: &Int8Weight,
         cols: &[f32],
         oseg: &mut [f32],
         patch: usize,
         plane: usize,
         scratch: &mut KernelScratch,
     ) {
-        let mut qcols = scratch.take_q(2 * patch.div_ceil(2) * plane);
+        let mut qcols = scratch.take(patch * plane);
         let mut cscales = scratch.take(plane);
-        qtensor::quantize_cols_paired(cols, patch, plane, &mut qcols, &mut cscales);
-        qtensor::qgemm_paired_into(
-            qw.data(),
-            qw.scales(),
-            &qcols,
-            &cscales,
-            oseg,
-            self.out_channels,
-            patch,
-            plane,
-        );
-        scratch.recycle_q(qcols);
+        qtensor::quantize_cols(cols, patch, plane, &mut qcols, &mut cscales);
+        kernel::gemm_into(&qw.values, &qcols, oseg, self.out_channels, patch, plane);
+        qtensor::dequantize(oseg, &qw.scales, &cscales);
+        scratch.recycle(qcols);
         scratch.recycle(cscales);
     }
 
@@ -186,7 +179,7 @@ impl ConvCore {
 
     fn set_precision(&mut self, precision: Precision) {
         self.qweight = match precision {
-            Precision::Int8 => Some(QTensor::quantize_rows(&self.weight.value)),
+            Precision::Int8 => Some(Int8Weight::new(&self.weight.value)),
             Precision::F32 => None,
         };
     }

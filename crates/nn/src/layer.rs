@@ -1,7 +1,7 @@
 //! The core `Layer` abstraction.
 
 use crate::Param;
-use safecross_tensor::{KernelScratch, Precision, Tensor};
+use safecross_tensor::{qtensor, KernelScratch, Precision, Tensor};
 
 /// Whether a forward pass is part of training or inference.
 ///
@@ -113,8 +113,8 @@ pub trait Layer: Send + Sync {
     ///
     /// [`Precision::Int8`] asks the layer to quantize its weights
     /// (symmetric per-output-channel int8, see
-    /// [`safecross_tensor::QTensor`]) and run inference through the
-    /// quantized GEMM; [`Precision::F32`] restores exact full-precision
+    /// [`safecross_tensor::qtensor`]) and run inference on quantized
+    /// operands; [`Precision::F32`] restores exact full-precision
     /// compute and drops any cached quantized weights. Layers without a
     /// quantizable kernel ignore the call, so the default is a no-op.
     /// Training-mode forwards and `backward` always run in f32
@@ -141,6 +141,29 @@ impl Clone for Box<dyn Layer> {
 /// Total number of scalar weights in a parameter list.
 pub fn param_count(params: &[&Param]) -> usize {
     params.iter().map(|p| p.len()).sum()
+}
+
+/// A `[rows, fan_in]` weight quantized for int8 eval: its integer
+/// values as `f32` and one scale per row (output channel).
+#[derive(Debug, Clone)]
+pub(crate) struct Int8Weight {
+    pub(crate) values: Vec<f32>,
+    pub(crate) scales: Vec<f32>,
+}
+
+impl Int8Weight {
+    /// Quantizes `w` per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fan-in exceeds [`qtensor::MAX_FAN_IN`].
+    pub(crate) fn new(w: &Tensor) -> Self {
+        let rows = w.shape().dim(0);
+        let mut values = vec![0.0; w.len()];
+        let mut scales = vec![0.0; rows];
+        qtensor::quantize_rows(w.data(), w.len() / rows, &mut values, &mut scales);
+        Int8Weight { values, scales }
+    }
 }
 
 #[cfg(test)]

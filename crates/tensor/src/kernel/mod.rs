@@ -232,7 +232,6 @@ fn observe(sample: &GemmSample) {
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     pool: Vec<Vec<f32>>,
-    qpool: Vec<Vec<i8>>,
     direct: Vec<f32>,
     offsets: Vec<usize>,
 }
@@ -242,7 +241,6 @@ impl KernelScratch {
     pub fn new() -> Self {
         KernelScratch {
             pool: Vec::new(),
-            qpool: Vec::new(),
             direct: Vec::new(),
             offsets: Vec::new(),
         }
@@ -301,44 +299,9 @@ impl KernelScratch {
         self.recycle(t.into_vec());
     }
 
-    /// Borrows a zero-filled `i8` buffer of exactly `len` elements —
-    /// the quantized-activation counterpart of [`KernelScratch::take`],
-    /// pooled separately so the f32 free-list semantics (and the
-    /// [`KernelScratch::pooled_buffers`] diagnostic) are untouched.
-    pub fn take_q(&mut self, len: usize) -> Vec<i8> {
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.qpool.iter().enumerate() {
-            if buf.capacity() >= len
-                && best.is_none_or(|j| buf.capacity() < self.qpool[j].capacity())
-            {
-                best = Some(i);
-            }
-        }
-        let best = best.or_else(|| (0..self.qpool.len()).max_by_key(|&i| self.qpool[i].capacity()));
-        let mut buf = match best {
-            Some(i) => self.qpool.swap_remove(i),
-            None => Vec::new(),
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns a buffer obtained from [`KernelScratch::take_q`].
-    pub fn recycle_q(&mut self, buf: Vec<i8>) {
-        if buf.capacity() > 0 {
-            self.qpool.push(buf);
-        }
-    }
-
     /// How many f32 buffers are currently pooled (diagnostic).
     pub fn pooled_buffers(&self) -> usize {
         self.pool.len()
-    }
-
-    /// How many i8 buffers are currently pooled (diagnostic).
-    pub fn pooled_qbuffers(&self) -> usize {
-        self.qpool.len()
     }
 }
 
@@ -347,7 +310,7 @@ impl KernelScratch {
 // ---------------------------------------------------------------------
 
 /// Below this many flops (`2·m·k·n`) the process-wide entry points
-/// ([`gemm_into`], [`gemm_transb_into`] and the `qgemm_*` kernels) run a
+/// ([`gemm_into`] and [`gemm_transb_into`]) run a
 /// GEMM on the caller's thread even when more workers are configured.
 /// A scoped spawn + join costs 25–55 µs per call on a 2-vCPU host, and
 /// two workers were slower than one there up to 16.6 M flops, breaking
@@ -479,8 +442,7 @@ fn axpy_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: 
 /// packed-transpose fast path (both operands stream along rows, no
 /// materialised transpose). Deliberately **not** SIMD-dispatched: its
 /// reduction runs along `p`, so vector lanes would have to split the
-/// accumulation and change the rounding sequence. The int8 path covers
-/// this shape instead (integer accumulation is order-free).
+/// accumulation and change the rounding sequence.
 fn gemm_transb_flat_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: usize) {
     for (off, o) in out.iter_mut().enumerate() {
         let pos = start + off;
@@ -1016,22 +978,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scratch_qpool_is_separate_and_zeroed() {
-        let mut scratch = KernelScratch::new();
-        let mut q = scratch.take_q(64);
-        q.iter_mut().for_each(|v| *v = -5);
-        scratch.recycle_q(q);
-        assert_eq!(scratch.pooled_qbuffers(), 1);
-        assert_eq!(scratch.pooled_buffers(), 0);
-        let q2 = scratch.take_q(32);
-        assert!(
-            q2.capacity() >= 64,
-            "best fit should reuse the pooled buffer"
-        );
-        assert!(q2.iter().all(|&v| v == 0));
-        scratch.recycle_q(q2);
     }
 }

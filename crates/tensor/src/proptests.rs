@@ -171,28 +171,18 @@ proptest! {
         seed in 0u64..500,
         m in 1usize..6, k in 1usize..48, n in 1usize..6,
     ) {
-        // Integer accumulation is exact, so the int8 GEMM must agree
-        // bit-for-bit between the scalar and SIMD paths too.
+        // Quantized real weights against a quantized real panel: the
+        // int8 product of a convolution, which must give the i32
+        // reference's bits on every instruction set and thread count.
         let mut rng = crate::TensorRng::seed_from(seed);
-        let wa = rng.uniform(&[m, k], -2.0, 2.0);
-        let wb = rng.uniform(&[n, k], -2.0, 2.0);
-        let qa = crate::QTensor::quantize_rows(&wa);
-        let qb = crate::QTensor::quantize_rows(&wb);
-        let detected = crate::kernel::Isa::detect();
-        crate::kernel::set_isa(crate::kernel::Isa::Scalar);
-        let mut scalar = vec![f32::NAN; m * n];
-        crate::qtensor::qgemm_transb_into(
-            qa.data(), qa.scales(), qb.data(), qb.scales(), &mut scalar, m, k, n,
-        );
-        crate::kernel::set_isa(detected);
-        let mut out = vec![f32::NAN; m * n];
-        crate::qtensor::qgemm_transb_into(
-            qa.data(), qa.scales(), qb.data(), qb.scales(), &mut out, m, k, n,
-        );
-        prop_assert_eq!(
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let w = rng.uniform(&[m, k], -2.0, 2.0);
+        let cols = rng.uniform(&[k, n], -2.0, 2.0);
+        let (mut qw, mut sw) = (vec![0.0f32; m * k], vec![0.0f32; m]);
+        crate::qtensor::quantize_rows(w.data(), k, &mut qw, &mut sw);
+        let (mut qc, mut sc) = (vec![0.0f32; k * n], vec![0.0f32; n]);
+        crate::qtensor::quantize_cols(cols.data(), k, n, &mut qc, &mut sc);
+        let checked = check_int8_product(&Int8Case { a: qw, sa: sw, b: qc, sb: sc, k }, false);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     #[test]
@@ -688,4 +678,128 @@ fn planned_layer(
         );
     }
     Ok(dense)
+}
+
+/// The operands of an int8 product: integer values in `[-127, 127]` as
+/// `f32`, `a` `[m, k]` with one scale per row, `b` `[k, n]` (or `[n, k]`
+/// for the transposed product) with one scale per column of the result.
+struct Int8Case {
+    a: Vec<f32>,
+    sa: Vec<f32>,
+    b: Vec<f32>,
+    sb: Vec<f32>,
+    k: usize,
+}
+
+/// Random operands of an `[m, k] × [k, n]` int8 product, every one `±127`
+/// when `extreme`.
+fn int8_case(seed: u64, m: usize, k: usize, n: usize, extreme: bool) -> Int8Case {
+    let mut rng = crate::TensorRng::seed_from(seed);
+    let mut draw = |len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| match extreme {
+                true => [-127.0, 127.0][rng.index(2)],
+                false => rng.index(255) as f32 - 127.0,
+            })
+            .collect()
+    };
+    let (a, b) = (draw(m * k), draw(k * n));
+    let mut scales = |len: usize| -> Vec<f32> { (0..len).map(|_| 1e-3 + rng.unit()).collect() };
+    let (sa, sb) = (scales(m), scales(n));
+    Int8Case { a, sa, b, sb, k }
+}
+
+/// The int8 product in integer arithmetic: `i32` sums of `i8` products,
+/// then `sa[i] · sb[j] · acc`.
+fn reference_qgemm(case: &Int8Case, transb: bool) -> Vec<f32> {
+    let (m, k, n) = (case.sa.len(), case.k, case.sb.len());
+    let (a, b) = (&case.a, &case.b);
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0i32;
+            for p in 0..k {
+                let bv = if transb { b[j * k + p] } else { b[p * n + j] };
+                acc += a[i * k + p] as i8 as i32 * bv as i8 as i32;
+            }
+            out[i * n + j] = case.sa[i] * case.sb[j] * acc as f32;
+        }
+    }
+    out
+}
+
+/// Runs an int8 product — the f32 GEMM over the quantized values
+/// (transposed or not), then [`crate::qtensor::dequantize`] — on the
+/// detected and the scalar ISA at one and two workers, and checks its
+/// bits against [`reference_qgemm`].
+fn check_int8_product(case: &Int8Case, transb: bool) -> Result<(), String> {
+    let (m, k, n) = (case.sa.len(), case.k, case.sb.len());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let expect = bits(&reference_qgemm(case, transb));
+    let detected = crate::kernel::Isa::detect();
+    for isa in [detected, crate::kernel::Isa::Scalar] {
+        crate::kernel::set_isa(isa);
+        for threads in [1usize, 2] {
+            let mut out = vec![f32::NAN; m * n];
+            let (a, b) = (&case.a, &case.b);
+            if transb {
+                crate::kernel::gemm_transb_into_with_threads(a, b, &mut out, m, k, n, threads);
+            } else {
+                crate::kernel::gemm_into_with_threads(a, b, &mut out, m, k, n, threads);
+            }
+            crate::qtensor::dequantize(&mut out, &case.sa, &case.sb);
+            if bits(&out) != expect {
+                crate::kernel::set_isa(detected);
+                let at = bits(&out).iter().zip(&expect).position(|(x, y)| x != y);
+                return Err(format!(
+                    "m={m} k={k} n={n} transb={transb} isa={isa:?} threads={threads}: \
+                     first difference at {at:?}"
+                ));
+            }
+        }
+    }
+    crate::kernel::set_isa(detected);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Up to the fan-in bound, the f32 GEMM sums of i8-valued operands are
+    /// the i32 sums, so the int8 product is integer arithmetic's bit for
+    /// bit, in both layouts; one case in eight has every operand at ±127.
+    #[test]
+    fn int8_product_is_the_i32_product_bit_for_bit(
+        seed in 0u64..1_000_000,
+        m in 1usize..21, k in 0usize..1041, n in 1usize..21,
+        extreme in 0usize..8,
+    ) {
+        let case = int8_case(seed, m, k, n, extreme == 0);
+        for transb in [false, true] {
+            let checked = check_int8_product(&case, transb);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+}
+
+#[test]
+fn int8_product_is_exact_at_the_fan_in_bound() {
+    // Every operand ±127 at k = 1040, with random signs and then all of
+    // one sign, where the sums reach ±1040 · 127² = ±16 774 160, 3 056
+    // below 2²⁴.
+    let k = crate::qtensor::MAX_FAN_IN;
+    let mut cases = vec![int8_case(1, 4, k, 5, true)];
+    for (a, b) in [(127.0, 127.0), (-127.0, 127.0)] {
+        let mut case = int8_case(2, 4, k, 5, true);
+        case.a.fill(a);
+        case.b.fill(b);
+        cases.push(case);
+    }
+    for (c, case) in cases.iter().enumerate() {
+        for transb in [false, true] {
+            if let Err(e) = check_int8_product(case, transb) {
+                panic!("case {c}: {e}");
+            }
+        }
+    }
 }

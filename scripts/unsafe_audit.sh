@@ -6,11 +6,18 @@
 # `// SAFETY:` contract on the immediately preceding comment block, and
 # every crate root pins the lint (`forbid` everywhere except the tensor
 # crate, which `deny`s so the kernel module can locally `allow`).
-# This script fails the build when any of the three invariants breaks.
+# This script fails the build when any of the three invariants breaks,
+# or when the kernel module holds more `unsafe` lines than its pinned
+# ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALLOWED="crates/tensor/src/kernel/simd.rs"
+# Non-comment lines using the `unsafe` keyword that $ALLOWED may hold:
+# the dispatch arms and lane blocks of `axpy` (4), `gemm_tile` (3) and
+# `conv_direct` (1). A new one means raising this number in a reviewed
+# diff, not only writing another `// SAFETY:` comment.
+MAX_UNSAFE_LINES=8
 fail=0
 
 # 1. Confinement: the `unsafe` keyword may not appear in any *product*
@@ -71,8 +78,15 @@ for lib in crates/*/src/lib.rs src/lib.rs; do
   fi
 done
 
+# 4. Ceiling: count the kernel module's non-comment `unsafe` lines.
+count=$(grep -E "$KEYWORD" "$ALLOWED" | grep -cvE '^[[:space:]]*//' || true)
+if [ "$count" -gt "$MAX_UNSAFE_LINES" ]; then
+  echo "$ALLOWED has $count non-comment unsafe lines, above the ceiling of $MAX_UNSAFE_LINES"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "unsafe audit FAILED"
   exit 1
 fi
-echo "unsafe audit OK: unsafe confined to $ALLOWED with // SAFETY: contracts"
+echo "unsafe audit OK: unsafe confined to $ALLOWED with // SAFETY: contracts ($count of at most $MAX_UNSAFE_LINES lines)"
