@@ -76,7 +76,10 @@ impl Tensor {
 
     /// Maximum element.
     pub fn max(&self) -> f32 {
-        self.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.data()
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// Minimum element.

@@ -118,7 +118,10 @@ impl Shape {
         let mut stride = 1;
         for axis in (0..dims.len()).rev() {
             let (i, d) = (index[axis], dims[axis]);
-            assert!(i < d, "index {i} out of bounds for axis {axis} (extent {d})");
+            assert!(
+                i < d,
+                "index {i} out of bounds for axis {axis} (extent {d})"
+            );
             off += i * stride;
             stride *= d;
         }
