@@ -73,7 +73,10 @@ impl Dropout {
     ///
     /// Panics unless `0.0 <= p < 1.0`.
     pub fn new(p: f32, rng: &mut TensorRng) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "dropout probability must be in [0, 1)"
+        );
         Dropout {
             p,
             rng: rng.fork(),
@@ -98,7 +101,11 @@ impl Layer for Dropout {
         let keep = 1.0 - self.p;
         let mut mask = Tensor::zeros(x.dims());
         for v in mask.data_mut() {
-            *v = if self.rng.unit() < keep { 1.0 / keep } else { 0.0 };
+            *v = if self.rng.unit() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            };
         }
         for ((o, &a), &m) in y.data_mut().iter_mut().zip(x.data()).zip(mask.data()) {
             *o = a * m;
@@ -154,7 +161,10 @@ mod tests {
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Survivors are exactly scaled, casualties exactly zero.
         let keep = 1.0 / 0.7;
-        assert!(y.data().iter().all(|&v| v == 0.0 || (v - keep).abs() < 1e-6));
+        assert!(y
+            .data()
+            .iter()
+            .all(|&v| v == 0.0 || (v - keep).abs() < 1e-6));
     }
 
     #[test]

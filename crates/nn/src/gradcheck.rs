@@ -42,9 +42,17 @@ fn check_layer_with_outliers(
     let mut rng = TensorRng::seed_from(seed);
     // Keep inputs away from zero so the central difference never straddles
     // a ReLU kink (which would make the numeric estimate meaningless).
-    let x = rng
-        .uniform(in_dims, -1.0, 1.0)
-        .map(|v| if v.abs() < 0.1 { if v >= 0.0 { 0.15 } else { -0.15 } } else { v });
+    let x = rng.uniform(in_dims, -1.0, 1.0).map(|v| {
+        if v.abs() < 0.1 {
+            if v >= 0.0 {
+                0.15
+            } else {
+                -0.15
+            }
+        } else {
+            v
+        }
+    });
     let n = in_dims[0];
     let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
 

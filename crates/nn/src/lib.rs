@@ -57,7 +57,7 @@ pub use layer::{param_count, Layer, Mode};
 pub use linear::Linear;
 pub use loss::{accuracy, mean_class_accuracy, softmax_cross_entropy};
 pub use norm::BatchNorm;
-pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use optim::{clip_grad_norm, Optimizer, Sgd};
 pub use param::Param;
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d, MaxPool3d};
 pub use sequential::Sequential;

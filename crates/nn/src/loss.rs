@@ -24,7 +24,13 @@ use safecross_tensor::Tensor;
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     assert_eq!(logits.shape().ndim(), 2, "logits must be [N, K]");
     let (n, k) = (logits.shape().dim(0), logits.shape().dim(1));
-    assert_eq!(labels.len(), n, "label count {} != batch {}", labels.len(), n);
+    assert_eq!(
+        labels.len(),
+        n,
+        "label count {} != batch {}",
+        labels.len(),
+        n
+    );
     assert!(
         labels.iter().all(|&l| l < k),
         "label out of range for {k} classes"
@@ -147,10 +153,7 @@ mod tests {
     fn mean_class_accuracy_is_balanced() {
         // 3 samples of class 0 (all right), 1 of class 1 (wrong):
         // top-1 = 0.75 but mean-class = (1.0 + 0.0)/2 = 0.5.
-        let logits = Tensor::from_vec(
-            vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
-            &[4, 2],
-        );
+        let logits = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0], &[4, 2]);
         let labels = [0, 0, 0, 1];
         assert!((accuracy(&logits, &labels) - 0.75).abs() < 1e-6);
         assert!((mean_class_accuracy(&logits, &labels, 2) - 0.5).abs() < 1e-6);

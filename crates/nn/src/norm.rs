@@ -154,7 +154,11 @@ impl Layer for BatchNorm {
             .cache
             .as_ref()
             .expect("BatchNorm::backward called before a training forward");
-        assert_eq!(grad_out.dims(), cache.dims.as_slice(), "gradient shape mismatch");
+        assert_eq!(
+            grad_out.dims(),
+            cache.dims.as_slice(),
+            "gradient shape mismatch"
+        );
         let (n, rest) = self.split_dims(&cache.dims);
         let c = self.channels;
         let count = (n * rest) as f32;
@@ -185,8 +189,7 @@ impl Layer for BatchNorm {
             for i in 0..n {
                 let base = (i * c + ch) * rest;
                 for r in 0..rest {
-                    dxd[base + r] =
-                        scale * (dy[base + r] - mean_dy - xh[base + r] * mean_dy_xhat);
+                    dxd[base + r] = scale * (dy[base + r] - mean_dy - xh[base + r] * mean_dy_xhat);
                 }
             }
         }

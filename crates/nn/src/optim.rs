@@ -5,7 +5,7 @@ use safecross_tensor::Tensor;
 
 /// A first-order optimizer over a flat list of parameters.
 ///
-/// State (momentum, Adam moments) is keyed by position, so the same
+/// State (momentum) is keyed by position, so the same
 /// parameter list must be passed on every step — which is natural because
 /// layers own their parameters in a fixed order.
 pub trait Optimizer {
@@ -21,7 +21,7 @@ pub trait Optimizer {
     }
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Stochastic gradient descent with optional momentum.
 ///
 /// ```
 /// use safecross_nn::{Optimizer, Param, Sgd};
@@ -36,7 +36,6 @@ pub trait Optimizer {
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
@@ -61,15 +60,8 @@ impl Sgd {
         Sgd {
             lr,
             momentum,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
-    }
-
-    /// Adds L2 weight decay, returning the modified optimizer.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Current learning rate.
@@ -81,15 +73,15 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
         if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
+            self.velocity = params
+                .iter()
+                .map(|p| Tensor::zeros(p.value.dims()))
+                .collect();
         }
         for (i, p) in params.iter_mut().enumerate() {
-            // An unallocated gradient is logically zero: weight decay and
-            // momentum must still act exactly as they would on real zeros.
-            let mut g = p.grad_or_zeros();
-            if self.weight_decay > 0.0 {
-                g.add_scaled(&p.value, self.weight_decay);
-            }
+            // An unallocated gradient is logically zero: momentum must
+            // still act exactly as it would on real zeros.
+            let g = p.grad_or_zeros();
             if self.momentum > 0.0 {
                 let v = &mut self.velocity[i];
                 v.map_in_place(|x| x * self.momentum);
@@ -97,84 +89,6 @@ impl Optimizer for Sgd {
                 p.value.add_scaled(v, -self.lr);
             } else {
                 p.value.add_scaled(&g, -self.lr);
-            }
-            p.zero_grad();
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u32,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the standard betas (0.9, 0.999).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.len() != params.len() {
-            self.m = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
-            self.v = params.iter().map(|p| Tensor::zeros(p.value.dims())).collect();
-            self.t = 0;
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            // Unallocated gradients are logically zero; the moment decay
-            // below matches the dense update with gi = 0 exactly.
-            let g = p.grad_or_zeros();
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for ((mi, vi), &gi) in m
-                .data_mut()
-                .iter_mut()
-                .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter())
-            {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            for ((w, &mi), &vi) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(m.data().iter())
-                .zip(v.data().iter())
-            {
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
             p.zero_grad();
         }
@@ -242,26 +156,6 @@ mod tests {
             momentum < plain,
             "momentum error {momentum} vs plain error {plain}"
         );
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut p = Param::new("w", Tensor::zeros(&[4]));
-        let mut opt = Adam::new(0.1);
-        for _ in 0..300 {
-            p.set_grad(quadratic_grad(&p));
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.data().iter().all(|&w| (w - 3.0).abs() < 1e-2));
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut p = Param::new("w", Tensor::full(&[1], 10.0));
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        // Zero task gradient: only decay acts.
-        opt.step(&mut [&mut p]);
-        assert!(p.value.data()[0] < 10.0);
     }
 
     #[test]

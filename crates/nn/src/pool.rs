@@ -29,7 +29,10 @@ impl MaxPool2d {
     ///
     /// Panics if `kernel` or `stride` is zero.
     pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
+        assert!(
+            kernel > 0 && stride > 0,
+            "kernel and stride must be positive"
+        );
         MaxPool2d {
             kernel,
             stride,
@@ -48,7 +51,10 @@ impl Layer for MaxPool2d {
             x.shape().dim(2),
             x.shape().dim(3),
         );
-        assert!(h >= self.kernel && w >= self.kernel, "input smaller than window");
+        assert!(
+            h >= self.kernel && w >= self.kernel,
+            "input smaller than window"
+        );
         let oh = (h - self.kernel) / self.stride + 1;
         let ow = (w - self.kernel) / self.stride + 1;
         let mut out = scratch.take_tensor(&[n, c, oh, ow]);
@@ -234,7 +240,9 @@ pub struct GlobalAvgPool {
 impl GlobalAvgPool {
     /// Creates a global average pool.
     pub fn new() -> Self {
-        GlobalAvgPool { in_dims: Vec::new() }
+        GlobalAvgPool {
+            in_dims: Vec::new(),
+        }
     }
 }
 
@@ -259,7 +267,10 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(!self.in_dims.is_empty(), "GlobalAvgPool::backward before forward");
+        assert!(
+            !self.in_dims.is_empty(),
+            "GlobalAvgPool::backward before forward"
+        );
         let (n, c) = (self.in_dims[0], self.in_dims[1]);
         let rest: usize = self.in_dims[2..].iter().product();
         let mut dx = Tensor::zeros(&self.in_dims);
@@ -294,7 +305,9 @@ pub struct Flatten {
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { in_dims: Vec::new() }
+        Flatten {
+            in_dims: Vec::new(),
+        }
     }
 }
 
@@ -333,7 +346,10 @@ mod tests {
     fn maxpool2d_picks_maxima() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0],
+            vec![
+                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+                16.0,
+            ],
             &[1, 1, 4, 4],
         );
         let y = pool.forward(&x, Mode::Train);

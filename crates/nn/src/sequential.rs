@@ -107,7 +107,10 @@ impl Layer for Sequential {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
     }
 
     fn buffers(&self) -> Vec<(String, Tensor)> {
@@ -189,7 +192,11 @@ mod tests {
         for p in net.params_mut() {
             p.value.map_in_place(|v| v + 1.0);
         }
-        let orig: Vec<f32> = net.params().iter().flat_map(|p| p.value.data().to_vec()).collect();
+        let orig: Vec<f32> = net
+            .params()
+            .iter()
+            .flat_map(|p| p.value.data().to_vec())
+            .collect();
         let copy: Vec<f32> = snapshot
             .params()
             .iter()
@@ -241,7 +248,11 @@ mod tests {
         // A scratch that already served another shape hands out recycled,
         // differently-sized buffers; none of that may reach the result.
         let mut scratch = safecross_tensor::KernelScratch::new();
-        let other = net.forward_scratch(&rng.uniform(&[3, 1, 9, 10], -1.0, 1.0), Mode::Eval, &mut scratch);
+        let other = net.forward_scratch(
+            &rng.uniform(&[3, 1, 9, 10], -1.0, 1.0),
+            Mode::Eval,
+            &mut scratch,
+        );
         scratch.recycle_tensor(other);
         for _ in 0..3 {
             let warm = net.forward_scratch(&x, Mode::Eval, &mut scratch);

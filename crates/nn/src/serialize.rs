@@ -295,7 +295,9 @@ fn decode(buf: &[u8]) -> Result<Checkpoint, SerializeError> {
     }
     let version = r.take_u32()?;
     if version != VERSION {
-        return Err(SerializeError::Format(format!("unsupported version {version}")));
+        return Err(SerializeError::Format(format!(
+            "unsupported version {version}"
+        )));
     }
     let model = r.take_str()?;
     let group_count = r.take_count(MIN_GROUP, "group")?;
@@ -309,7 +311,12 @@ fn decode(buf: &[u8]) -> Result<Checkpoint, SerializeError> {
         }
         let bytes = r.take_u64()? as usize;
         let hash = r.take_u64()?;
-        groups.push(GroupManifest { name, params, bytes, hash });
+        groups.push(GroupManifest {
+            name,
+            params,
+            bytes,
+            hash,
+        });
     }
     let manifest = ModelManifest { model, groups };
     let entry_count = r.take_count(MIN_ENTRY, "entry")?;
@@ -436,10 +443,8 @@ mod tests {
         assert_eq!(written.total_bytes(), (12 + 4 + 8 + 1) * 4);
         let (manifest, entries) = load_grouped(&path).unwrap();
         assert_eq!(manifest, written);
-        let flat: Vec<(String, Tensor)> = groups
-            .iter()
-            .flat_map(|(_, e)| e.iter().cloned())
-            .collect();
+        let flat: Vec<(String, Tensor)> =
+            groups.iter().flat_map(|(_, e)| e.iter().cloned()).collect();
         assert_eq!(entries, flat);
         std::fs::remove_file(path).ok();
     }

@@ -230,15 +230,6 @@ impl StreamHandle {
     pub fn session<'f>(&self, fleet: &'f FleetServer) -> &'f SafeCross {
         &self.lane(fleet).inner
     }
-
-    /// This stream's report slice, over its whole lifetime (a
-    /// [`FleetReport`] row covers one run; this covers every run).
-    pub fn report(&self, fleet: &FleetServer) -> StreamReport {
-        StreamReport {
-            stream: self.id,
-            stats: self.stats(fleet),
-        }
-    }
 }
 
 /// A multi-intersection serving front.

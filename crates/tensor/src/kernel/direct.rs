@@ -13,9 +13,8 @@
 //! Each output starts at `+0.0`, adds `w[i, p] · x[base + off(p)]` for
 //! ascending `p` with multiply and add separately rounded, and then adds
 //! the bias: the panel GEMM's sequence for that element, padding taps
-//! included (they read the copy's zeros). A row [`super::row_is_sparse`]
-//! flags skips its zero weights in the GEMM, so such a row is computed
-//! again by [`Job::sparse_row`], which skips them too.
+//! and zero weights included (they read the copy's zeros and multiply,
+//! as every GEMM row does).
 
 use crate::Conv3dGeom;
 
@@ -239,8 +238,6 @@ pub(crate) struct Job<'a> {
     /// The weight in blocks of [`LANES`] channels, each `[patch,
     /// LANES]`, channels past `oc` zero.
     pub(super) wt: &'a [f32],
-    /// The `[oc, patch]` weight, read for the sparse-row decision.
-    pub(super) weight: &'a [f32],
     pub(super) bias: &'a [f32],
     /// Flat `(ot, oy, ox)` output positions; `None` is all of them.
     pub(super) positions: Option<&'a [u32]>,
@@ -290,11 +287,6 @@ impl Job<'_> {
                 }
             }
         }
-        for (i, out) in out.chunks_exact_mut(n).enumerate() {
-            if super::row_is_sparse(&self.weight[i * patch..(i + 1) * patch]) {
-                self.sparse_row(i, out);
-            }
-        }
     }
 
     /// The accumulators of the [`Q`] positions at `bases`, from a
@@ -320,23 +312,6 @@ impl Job<'_> {
             }
         }
         acc
-    }
-
-    /// Recomputes output channel `i` into `out` (`[positions]`),
-    /// skipping its zero weights as the GEMM does for a sparse row.
-    fn sparse_row(&self, i: usize, out: &mut [f32]) {
-        let patch = self.offsets.len();
-        let w = &self.weight[i * patch..(i + 1) * patch];
-        for (o, at) in out.iter_mut().zip(self.lay.walk(self.positions, 0)) {
-            let window = &self.x[self.base(at)..];
-            let mut acc = 0.0f32;
-            for (&wv, &off) in w.iter().zip(self.offsets) {
-                if wv != 0.0 {
-                    acc += wv * window[off];
-                }
-            }
-            *o = acc + self.bias[i];
-        }
     }
 }
 
@@ -420,18 +395,28 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_skip_their_zero_weights() {
-        // A 1×1 kernel over five channels. Channel 0's row is sparse, so
-        // its zero weight never meets the inf; channel 1's is dense
-        // (one zero in five), so it multiplies that zero by the inf.
+    fn zero_weights_meeting_inf_give_nan_in_every_row() {
+        // A 1×1 kernel over five channels, the first input infinite.
+        // Row r has zero weights on channels 0..=r, so its zero count
+        // runs from one in five to all five: every row multiplies its
+        // zero by the inf, in the GEMM (four tile rows and one leftover
+        // on AVX2) and in the direct conv alike, on every ISA.
         let g = geom(5, [1, 1, 1], (1, 1), (1, 1), (0, 0));
-        let x = [1.0, f32::INFINITY, 2.0, 3.0, 4.0];
-        let w = [3.0, 0.0, 0.0, 1.0, 1.0, 5.0, 0.0, 4.0, 1.0, 1.0];
-        let b = [0.5, 0.5];
-        let out = direct(&x, &g, &w, &b, None);
-        assert_eq!(out[0], 10.5);
-        assert!(out[1].is_nan());
-        assert_eq!(bits(&out), bits(&panel(&x, &g, &w, &b, None)));
+        let x = [f32::INFINITY, 1.0, 2.0, 3.0, 4.0];
+        let w: Vec<f32> = (0..25)
+            .map(|i| if i % 5 <= i / 5 { 0.0 } else { 1.0 })
+            .collect();
+        let b = [0.5; 5];
+        let before = isa();
+        for requested in [Isa::detect(), Isa::Scalar] {
+            set_isa(requested);
+            let mut gemm = vec![0.0; 5];
+            gemm_into_with_threads(&w, &x, &mut gemm, 5, 5, 1, 1);
+            assert!(gemm.iter().all(|v| v.is_nan()), "{requested:?}: {gemm:?}");
+            let out = direct(&x, &g, &w, &b, None);
+            assert!(out.iter().all(|v| v.is_nan()), "{requested:?}: {out:?}");
+        }
+        set_isa(before);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! with instead of a lowered panel. The layer provides three things:
 //!
 //! 1. **Deterministic parallelism.** A GEMM's output is partitioned into
-//!    contiguous flat ranges, one per worker on a [`std::thread::scope`]
-//!    pool. Each output element is still accumulated in the exact
-//!    sequential `p = 0..k` order, so the result is **bit-identical for
-//!    every thread count including 1** — partitioning only decides *who*
-//!    computes an element, never the order of the floating-point
-//!    additions that produce it. This is the property that lets the
-//!    `serve_equivalence` suite pass unmodified at any thread count.
+//!    contiguous runs of whole rows, one per worker on a
+//!    [`std::thread::scope`] pool. Each output element is still
+//!    accumulated in the exact sequential `p = 0..k` order, so the result
+//!    is **bit-identical for every thread count including 1** —
+//!    partitioning only decides *who* computes an element, never the
+//!    order of the floating-point additions that produce it. This is the
+//!    property that lets the `serve_equivalence` suite pass unmodified
+//!    at any thread count.
 //! 2. **Scratch reuse.** [`KernelScratch`] is a free-list of `f32`
 //!    buffers that conv/pool/norm forwards borrow instead of allocating;
 //!    once warm, the steady-state classify path performs zero heap
@@ -43,6 +44,7 @@
 mod direct;
 pub(crate) mod simd;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 use std::time::Instant;
@@ -59,7 +61,7 @@ use crate::{Conv3dGeom, Shape, Tensor};
 pub const KERNEL_THREADS_ENV: &str = "SAFECROSS_KERNEL_THREADS";
 
 /// Environment variable forcing the kernel instruction set
-/// (`avx2`/`neon`/`scalar`; unsupported values fall back to detection).
+/// (`avx2`/`scalar`; unsupported values fall back to detection).
 pub const KERNEL_ISA_ENV: &str = "SAFECROSS_KERNEL_ISA";
 
 /// `0` means "not resolved yet"; resolved lazily on first use.
@@ -71,16 +73,14 @@ static KERNEL_ISA: AtomicUsize = AtomicUsize::new(0);
 fn isa_encode(isa: Isa) -> usize {
     match isa {
         Isa::Avx2 => 1,
-        Isa::Neon => 2,
-        Isa::Scalar => 3,
+        Isa::Scalar => 2,
     }
 }
 
 fn isa_decode(code: usize) -> Option<Isa> {
     match code {
         1 => Some(Isa::Avx2),
-        2 => Some(Isa::Neon),
-        3 => Some(Isa::Scalar),
+        2 => Some(Isa::Scalar),
         _ => None,
     }
 }
@@ -328,128 +328,16 @@ const MIN_PARALLEL_FLOPS: usize = 1 << 24;
 /// over it.
 const COL_BLOCK: usize = 1024;
 
-/// Inspects up to 16 evenly-spaced elements of an lhs row and reports
-/// whether the row looks sparse (≥ 25 % sampled zeros).
-///
-/// The historical kernel tested `av == 0.0` on *every* element, which on
-/// dense GEMMs (conv weights, im2col patches of raw frames) is a
-/// never-taken branch per multiply. Skipping zero rows only pays on
-/// genuinely sparse inputs — post-ReLU activations on the lhs, padded
-/// patch rows — so the decision is made once per row from a bounded
-/// sample. The choice is value-exact: for finite rhs values,
-/// accumulating `0.0 * bv` leaves the (never `-0.0`) accumulator
-/// bit-unchanged, so the skip and dense loops produce identical bits.
-/// And because the decision reads only the row's own values, it is
-/// independent of how the output is partitioned across workers.
-fn row_is_sparse(row: &[f32]) -> bool {
-    let k = row.len();
-    if k == 0 {
-        return false;
-    }
-    let samples = k.min(16);
-    let mut zeros = 0;
-    for s in 0..samples {
-        if row[s * k / samples] == 0.0 {
-            zeros += 1;
-        }
-    }
-    4 * zeros >= samples
-}
-
-/// Computes the flat output elements `[start, start + out.len())` of an
-/// `[m, k] × [k, n]` product, overwriting `out`. Each element accumulates
-/// in ascending-`p` order regardless of the range split or the route its
-/// row takes, and no route changes a bit: runs of dense rows go through
-/// [`simd::gemm_tile`] four rows at a time, while the rows a run leaves
-/// over, the sparse rows (whose zero-skip is observable on a non-finite
-/// rhs) and the partial rows of a flat split keep the [`axpy_range`]
-/// loop — and the tile adds in exactly that loop's order.
-fn gemm_flat_range(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    start: usize,
-    k: usize,
-    n: usize,
-    isa: Isa,
-) {
-    out.fill(0.0);
-    if n == 0 {
-        return;
-    }
-    let end = start + out.len();
-    // The whole rows of the range, and the partial rows either side.
-    let (first, last) = (start.div_ceil(n), end / n);
-    if first >= last {
-        axpy_range(a, b, out, start, k, n, isa);
-        return;
-    }
-    let (head, rest) = out.split_at_mut(first * n - start);
-    let (whole, tail) = rest.split_at_mut((last - first) * n);
-    axpy_range(a, b, head, start, k, n, isa);
-    axpy_range(a, b, tail, last * n, k, n, isa);
-    let mut i = first;
-    while i < last {
-        let dense = (i..last)
-            .take_while(|&r| !row_is_sparse(&a[r * k..(r + 1) * k]))
-            .count();
-        let tiled = dense - dense % simd::TILE_ROWS;
-        // The run, plus the sparse row that ends it.
-        let next = (i + dense + 1).min(last);
-        let run = &mut whole[(i - first) * n..(next - first) * n];
-        let (tile_out, rest) = run.split_at_mut(tiled * n);
-        if tiled > 0 {
-            simd::gemm_tile(isa, &a[i * k..(i + tiled) * k], b, tile_out, tiled, k, n);
-        }
-        axpy_range(a, b, rest, (i + tiled) * n, k, n, isa);
-        i = next;
-    }
-}
-
-/// Accumulates the flat output elements `[start, start + out.len())` of
-/// an `[m, k] × [k, n]` product into zero-filled `out`: one [`simd::axpy`]
-/// per (row, k), skipping zero lhs elements of rows [`row_is_sparse`]
-/// flags. [`simd::axpy`] vectorises across independent output columns
-/// with non-fused multiply/add, so the ISA cannot change bits.
-fn axpy_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: usize, isa: Isa) {
-    let end = start + out.len();
-    let mut pos = start;
-    while pos < end {
-        let i = pos / n;
-        let j0 = pos - i * n;
-        let j1 = n.min(j0 + (end - pos));
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[pos - start..pos - start + (j1 - j0)];
-        let sparse = row_is_sparse(arow);
-        let mut jb = j0;
-        while jb < j1 {
-            let je = (jb + COL_BLOCK).min(j1);
-            let oseg = &mut orow[jb - j0..je - j0];
-            for (p, &av) in arow.iter().enumerate() {
-                if sparse && av == 0.0 {
-                    continue;
-                }
-                simd::axpy(isa, oseg, av, &b[p * n + jb..p * n + je]);
-            }
-            jb = je;
-        }
-        pos += j1 - j0;
-    }
-}
-
-/// Same contract as [`gemm_flat_range`] for `A × Bᵀ` with `b` stored
-/// `[n, k]`: `out[i, j] = Σ_p a[i, p] · b[j, p]`, `p` ascending — the
-/// packed-transpose fast path (both operands stream along rows, no
-/// materialised transpose). Deliberately **not** SIMD-dispatched: its
-/// reduction runs along `p`, so vector lanes would have to split the
-/// accumulation and change the rounding sequence.
-fn gemm_transb_flat_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k: usize, n: usize) {
-    for (off, o) in out.iter_mut().enumerate() {
-        let pos = start + off;
-        let i = pos / n;
-        let j = pos - i * n;
-        let arow = &a[i * k..(i + 1) * k];
-        let brow = &b[j * k..(j + 1) * k];
+/// Computes the rows of an `A × Bᵀ` product with `b` stored `[n, k]`
+/// whose lhs rows are `a`, overwriting `out`: `out[i, j] = Σ_p a[i, p]
+/// · b[j, p]`, `p` ascending — the packed-transpose fast path (both
+/// operands stream along rows, no materialised transpose). Deliberately
+/// **not** SIMD-dispatched: its reduction runs along `p`, so vector
+/// lanes would have to split the accumulation and change the rounding
+/// sequence.
+fn gemm_transb_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    for (pos, o) in out.iter_mut().enumerate() {
+        let (arow, brow) = (&a[pos / n * k..][..k], &b[pos % n * k..][..k]);
         let mut acc = 0.0f32;
         for (&av, &bv) in arow.iter().zip(brow) {
             acc += av * bv;
@@ -458,38 +346,32 @@ fn gemm_transb_flat_range(a: &[f32], b: &[f32], out: &mut [f32], start: usize, k
     }
 }
 
-/// Splits `out` into per-worker contiguous flat ranges and runs `body`
-/// on each — on the calling thread when one worker suffices, otherwise
-/// on a scoped pool (the caller's thread takes the first range). Ranges
-/// are row-aligned when there are at least as many rows as workers;
-/// otherwise the flat element range is split directly so wide-and-short
-/// outputs (the single-clip conv case) still fan out.
-pub(crate) fn partition_out<F>(out: &mut [f32], m: usize, n: usize, workers: usize, body: F)
+/// Splits `out` (`m` rows of `n`) into contiguous runs of whole rows, one
+/// per worker, and runs `body(run, rows)` on each, `rows` the run's row
+/// range — on the calling thread when one worker suffices, otherwise on
+/// a scoped pool (the caller's thread takes the first run). A row is
+/// never split, so at most `m` runs exist whatever `workers` is.
+fn partition_out<F>(out: &mut [f32], m: usize, n: usize, workers: usize, body: F)
 where
-    F: Fn(&mut [f32], usize) + Sync,
+    F: Fn(&mut [f32], Range<usize>) + Sync,
 {
-    let total = out.len();
-    debug_assert_eq!(total, m * n);
-    if workers <= 1 || total == 0 {
-        body(out, 0);
+    debug_assert_eq!(out.len(), m * n);
+    if workers <= 1 || out.is_empty() {
+        body(out, 0..m);
         return;
     }
-    let chunk = if m >= workers {
-        m.div_ceil(workers) * n
-    } else {
-        total.div_ceil(workers)
-    };
+    let rows = m.div_ceil(workers);
     std::thread::scope(|s| {
-        let mut chunks = out.chunks_mut(chunk).enumerate();
-        let first = chunks.next();
-        let workers: Vec<_> = chunks
-            .map(|(w, chunk_out)| {
+        let mut runs = out.chunks_mut(rows * n).enumerate();
+        let first = runs.next();
+        let workers: Vec<_> = runs
+            .map(|(w, run)| {
                 let body = &body;
-                s.spawn(move || body(chunk_out, w * chunk))
+                s.spawn(move || body(run, w * rows..w * rows + run.len() / n))
             })
             .collect();
-        if let Some((_, chunk_out)) = first {
-            body(chunk_out, 0);
+        if let Some((_, run)) = first {
+            body(run, 0..rows);
         }
         // Join rather than let the scope's end wait: that only waits for
         // the closures to return, and a worker still tearing down holds
@@ -503,21 +385,22 @@ where
 }
 
 /// The worker count for a GEMM issued through a process-wide entry
-/// point: `threads` (capped at `m·n`) once the GEMM clears
+/// point: `threads` (capped at the row count `m`) once the GEMM clears
 /// [`MIN_PARALLEL_FLOPS`], otherwise 1.
-pub(crate) fn effective_workers(m: usize, k: usize, n: usize, threads: usize) -> usize {
+fn effective_workers(m: usize, k: usize, n: usize, threads: usize) -> usize {
     let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
     if flops < MIN_PARALLEL_FLOPS {
         1
     } else {
-        threads.min(m * n)
+        threads.min(m)
     }
 }
 
 /// `[m, k] × [k, n] → [m, n]`, overwriting `out`, on exactly `threads`
-/// workers (capped at `m·n`) whatever the GEMM's size: the serial bar
-/// of 2²⁴ flops applies only to [`gemm_into`]. Results are bit-identical
-/// for every `threads` value.
+/// workers (capped at `m`) whatever the GEMM's size: the serial bar of
+/// 2²⁴ flops applies only to [`gemm_into`]. Each worker runs its rows
+/// through [`simd::gemm_tile`]. Results are bit-identical for every
+/// `threads` value.
 ///
 /// # Panics
 ///
@@ -535,13 +418,14 @@ pub(crate) fn gemm_into_with_threads(
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
     let active_isa = isa();
-    partition_out(out, m, n, threads.min(m * n), |chunk, start| {
-        gemm_flat_range(a, b, chunk, start, k, n, active_isa);
+    partition_out(out, m, n, threads, |out, rows| {
+        let a = &a[rows.start * k..rows.end * k];
+        simd::gemm_tile(active_isa, a, b, out, rows.len(), k, n);
     });
 }
 
 /// `[m, k] × [n, k]ᵀ → [m, n]`, overwriting `out`, on exactly `threads`
-/// workers (capped at `m·n`) whatever the GEMM's size. Bit-identical to
+/// workers (capped at `m`) whatever the GEMM's size. Bit-identical to
 /// `a.matmul(&b.transpose())` for finite inputs and for every `threads`
 /// value.
 ///
@@ -560,8 +444,8 @@ pub(crate) fn gemm_transb_into_with_threads(
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
-    partition_out(out, m, n, threads.min(m * n), |chunk, start| {
-        gemm_transb_flat_range(a, b, chunk, start, k, n);
+    partition_out(out, m, n, threads, |out, rows| {
+        gemm_transb_rows(&a[rows.start * k..rows.end * k], b, out, k, n);
     });
 }
 
@@ -668,7 +552,6 @@ pub fn conv_direct_into(
     let job = direct::Job {
         x,
         wt,
-        weight,
         bias,
         positions,
         offsets,
@@ -710,22 +593,15 @@ pub(crate) fn reference_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
     out
 }
 
-/// [`reference_gemm`] with its zero-skip confined to the rows
-/// [`row_is_sparse`] flags, as the kernel routes them; every other row
-/// multiplies its zeros. The two references agree on a finite rhs and
-/// part where a zero meets `±inf` or NaN (`0 · inf` is NaN).
+/// The seed kernel without its zero-skip: every zero lhs element
+/// multiplies, as the kernel's every route does. It agrees with
+/// [`reference_gemm`] on a finite rhs and parts from it where a zero
+/// meets `±inf` or NaN (`0 · inf` is NaN).
 #[cfg(test)]
-pub(crate) fn reference_gemm_routed(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = reference_gemm(a, b, m, k, n);
-    for i in (0..m).filter(|&i| !row_is_sparse(&a[i * k..(i + 1) * k])) {
+pub(crate) fn reference_gemm_dense(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
         let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0.0);
         for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             for (o, &bv) in orow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
                 *o += av * bv;
@@ -794,25 +670,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_single_row_still_partitions() {
-        // m < workers forces the flat element-range split mid-row.
-        let (m, k, n) = (2, 80, 1024);
-        let (a, b) = random_case(9, m, k, n, 0.0);
-        let mut expect = vec![0.0f32; m * n];
-        gemm_into_with_threads(&a, &b, &mut expect, m, k, n, 1);
-        let mut out = vec![f32::NAN; m * n];
-        gemm_into_with_threads(&a, &b, &mut out, m, k, n, 8);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn frame_path_gemms_stay_on_the_callers_thread() {
         // C3D's conv2, the largest classifier GEMM per clip (11.1 M
         // flops), runs serially at any configured count; a 34 M-flop
-        // GEMM fans out, capped at its output size.
+        // GEMM fans out, capped at its row count, so a one-row GEMM
+        // never does.
         assert_eq!(effective_workers(16, 216, 1600, 8), 1);
         assert_eq!(effective_workers(16, 324, 3300, 8), 8);
-        assert_eq!(effective_workers(1, 1 << 24, 2, 8), 2);
+        assert_eq!(effective_workers(1, 1 << 24, 2, 8), 1);
         assert_eq!(effective_workers(16, 324, 3300, 1), 1);
     }
 
@@ -898,16 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_heuristic_thresholds() {
-        assert!(row_is_sparse(&[0.0; 8]));
-        assert!(!row_is_sparse(&[1.0; 8]));
-        // Exactly 25 % zeros trips the sparse path.
-        assert!(row_is_sparse(&[0.0, 1.0, 1.0, 1.0]));
-        assert!(!row_is_sparse(&[0.1, 1.0, 1.0, 1.0]));
-        assert!(!row_is_sparse(&[]));
-    }
-
-    #[test]
     fn observers_receive_samples_and_unregister_on_drop() {
         use std::sync::atomic::AtomicU64;
         let count = Arc::new(AtomicU64::new(0));
@@ -943,7 +798,7 @@ mod tests {
         // The ISA knob sanitizes: scalar always sticks, the detected
         // set round-trips, and nothing else is ever observable.
         let isa_before = isa();
-        for requested in [Isa::Scalar, Isa::Avx2, Isa::Neon, detected] {
+        for requested in [Isa::Scalar, Isa::Avx2, detected] {
             set_isa(requested);
             assert!([Isa::Scalar, detected].contains(&isa()), "{requested:?}");
         }

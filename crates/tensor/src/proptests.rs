@@ -251,11 +251,8 @@ proptest! {
 }
 
 /// An lhs whose rows are, at random, zero-free, all zero, or zero at
-/// `zero_rate` or at 25–60 % of their elements (so [`row_is_sparse`]
-/// sends some down the skip route and misses others), and an rhs with
-/// `±inf`, NaN and `-0.0` spliced in at `special_rate`.
-///
-/// [`row_is_sparse`]: crate::kernel
+/// `zero_rate` or at 25–60 % of their elements, and an rhs with `±inf`,
+/// NaN and `-0.0` spliced in at `special_rate`.
 fn gemm_case(
     seed: u64,
     m: usize,
@@ -295,8 +292,8 @@ fn gemm_case(
 
 /// Runs `[m, k] × [k, n]` on the detected and the scalar ISA at one and
 /// two workers and checks every result's bits against the seed kernel
-/// (routed: see [`crate::kernel::reference_gemm_routed`]; on a finite
-/// rhs it is [`crate::kernel::reference_gemm`] itself).
+/// without its zero-skip ([`crate::kernel::reference_gemm_dense`]; on a
+/// finite rhs it is [`crate::kernel::reference_gemm`] itself).
 fn check_gemm_against_reference(
     a: &[f32],
     b: &[f32],
@@ -308,13 +305,13 @@ fn check_gemm_against_reference(
     // NaNs returns depends on operand order, which the compiler may swap
     // (x86's `inf − inf` is the negative default NaN, an input NaN is
     // positive), and the seed kernel's NaNs already differed in sign
-    // from the axpy loop's.
+    // from the kernel's.
     let bits = |v: &[f32]| {
         v.iter()
             .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
             .collect::<Vec<_>>()
     };
-    let expect = crate::kernel::reference_gemm_routed(a, b, m, k, n);
+    let expect = crate::kernel::reference_gemm_dense(a, b, m, k, n);
     if b.iter().all(|v| v.is_finite())
         && bits(&expect) != bits(&crate::kernel::reference_gemm(a, b, m, k, n))
     {
@@ -357,7 +354,7 @@ proptest! {
         // m crosses the 4-row tile (leftover rows 1–3), n every column
         // tail of the 16- and 8-wide blocks, k reaches the conv fan-ins.
         // A third of the cases keep the rhs finite; the rest splice in
-        // ±inf, NaN and -0.0, where the zero-skip of sparse rows shows.
+        // ±inf, NaN and -0.0, where every zero weight must multiply.
         let special_rate = [0.0, 0.01, 0.2][special];
         let (a, b) = gemm_case(seed, m, k, n, zero_rate, special_rate);
         let checked = check_gemm_against_reference(&a, &b, m, k, n);
@@ -388,11 +385,10 @@ proptest! {
     /// The direct kernel against the panel route it replaces — lowered
     /// columns, the GEMM, the bias — bit for bit (NaNs as one value), over
     /// every position, a shuffled subset with a repeat, or one position.
-    /// Weight rows run from zero-free to all zero, so the GEMM's sparse
-    /// skip is taken and not; inputs and, at times, a weight carry `±inf`,
-    /// NaN and `-0.0`, which padding taps and skipped zeros turn into
-    /// NaNs exactly where the panel route does, and the scratch arrives
-    /// dirty.
+    /// Weight rows run from zero-free to all zero; inputs and, at times,
+    /// a weight carry `±inf`, NaN and `-0.0`, which padding taps and zero
+    /// weights turn into NaNs exactly where the panel route does, and the
+    /// scratch arrives dirty.
     #[test]
     fn direct_conv_matches_the_panel(
         seed in 0u64..100_000,
