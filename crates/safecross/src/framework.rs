@@ -445,6 +445,11 @@ pub fn classify_with_model(
 /// argmax), so verdicts computed through this allocation-free path are
 /// bit-identical to the tensor-op path.
 ///
+/// A row with any NaN or `+inf` logit, or with every logit `−inf`, has
+/// only NaN probabilities and so nothing to rank: it fails safe to
+/// [`Class::Danger`], named rather than assumed to be index 0, with its
+/// NaN probability as the confidence.
+///
 /// # Panics
 ///
 /// Panics if `probs` is shorter than `row`.
@@ -457,6 +462,10 @@ pub fn top_class_from_logits(row: &[f32], probs: &mut [f32]) -> (usize, f32) {
     }
     for p in &mut probs[..row.len()] {
         *p /= z;
+    }
+    if z.is_nan() {
+        let danger = Class::Danger.index();
+        return (danger, probs[danger]);
     }
     let mut best = 0;
     for (i, &v) in probs[..row.len()].iter().enumerate() {

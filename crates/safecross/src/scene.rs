@@ -15,7 +15,10 @@ use std::collections::VecDeque;
 pub struct SceneFeatures {
     /// Mean intensity (snow scenes are bright, rain scenes dark).
     pub mean: f32,
-    /// Intensity standard deviation (contrast collapses in bad weather).
+    /// Population standard deviation of the intensity (contrast
+    /// collapses in bad weather). Reported only: the vote reads the
+    /// spread through the exact threshold of [`SceneFeatures::measure`],
+    /// never through this rounded value.
     pub stddev: f32,
     /// Fraction of isolated bright pixels (snowflake speckle).
     pub speckle: f32,
@@ -26,13 +29,12 @@ pub struct SceneFeatures {
 impl SceneFeatures {
     /// Measures a frame.
     ///
-    /// Three sweeps, each as cheap as bit-identity with the original
-    /// per-pixel formulation allows: the mean once (integer where exact,
-    /// see [`GrayFrame::mean`]); the variance about it as the
-    /// left-to-right `f32` fold of `(p − mean)²` — every add rounds, so
-    /// the order is part of the result and the fold stays serial; and
-    /// the neighbour scan over packed bright-pixel rows, 64 pixels per
-    /// word op.
+    /// Two sweeps. The first sums `S = Σp` and `Q = Σp²` in integers, and
+    /// every statistic comes from those two exact sums: `mean` is `S / n`
+    /// rounded once, `stddev` is `√(n·Q − S²) / n`, and the brightness
+    /// threshold `⌊mean + 2.5·stddev⌋` (at most 235) is decided in integer
+    /// arithmetic, so no rounding can move a vote. The second is the
+    /// neighbour scan over packed bright-pixel rows, 64 pixels per word op.
     pub fn measure(frame: &GrayFrame) -> Self {
         Self::measure_with(frame, &mut Vec::new())
     }
@@ -41,21 +43,12 @@ impl SceneFeatures {
     /// rows kept in `ring`, which grows to fit the frame once and is
     /// reused after that.
     pub(crate) fn measure_with(frame: &GrayFrame, ring: &mut Vec<u64>) -> Self {
-        let pixels = frame.pixels();
-        let n = pixels.len() as f32;
-        let mean = frame.mean();
-        let squares = pixels.iter().map(|&p| {
-            let d = p as f32 - mean;
-            d * d
-        });
-        let stddev = (squares.sum::<f32>() / n).sqrt();
-
-        // In [0, 235], so the cast truncates exactly as a wider integer would.
-        let bright = (mean + 2.5 * stddev).min(235.0) as u8;
-        let (speckle, streaks) = lone_bright_pixels(frame, bright, ring);
+        let moments = Moments::of(frame.pixels());
+        let (speckle, streaks) = lone_bright_pixels(frame, moments.bright(), ring);
+        let n = frame.pixels().len() as f32;
         SceneFeatures {
-            mean,
-            stddev,
+            mean: moments.mean(),
+            stddev: moments.stddev(),
             speckle: speckle as f32 / n,
             streaks: streaks as f32 / n,
         }
@@ -72,6 +65,82 @@ impl SceneFeatures {
             return Weather::Rain;
         }
         Weather::Daytime
+    }
+}
+
+/// The exact first and second moments of a frame's pixels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Moments {
+    /// The pixel count `n`.
+    pub(crate) n: u64,
+    /// `S = Σp`.
+    pub(crate) sum: u64,
+    /// `Q = Σp²`.
+    pub(crate) squares: u64,
+}
+
+impl Moments {
+    /// Sums `pixels` in one pass: in `u32` lanes within each chunk of
+    /// 2¹⁶ pixels (2¹⁶ · 255² < 2³²), in `u64` across chunks.
+    pub(crate) fn of(pixels: &[u8]) -> Self {
+        let (mut sum, mut squares) = (0u64, 0u64);
+        for chunk in pixels.chunks(1 << 16) {
+            let (s, q) = chunk.iter().fold((0u32, 0u32), |(s, q), &p| {
+                let p = u32::from(p);
+                (s + p, q + p * p)
+            });
+            sum += u64::from(s);
+            squares += u64::from(q);
+        }
+        Moments {
+            n: pixels.len() as u64,
+            sum,
+            squares,
+        }
+    }
+
+    /// `S / n`, rounded correctly to `f32`. While `S` and `n` are at most
+    /// 2²⁴ both convert exactly, so this is [`GrayFrame::mean`]'s value bit
+    /// for bit — every 320×240 frame with a mean below 218. The `f64`
+    /// quotient is within `2⁻⁵³` relative of `S / n`, and a quotient that
+    /// is not an `f32` rounding midpoint lies at least `2⁻²⁵ / n` relative
+    /// from one, so rounding it again to `f32` is still correct for any
+    /// frame under 2²⁸ pixels.
+    fn mean(&self) -> f32 {
+        (self.sum as f64 / self.n as f64) as f32
+    }
+
+    /// `n·Q − S² = n²σ²`, never negative (Cauchy–Schwarz).
+    fn spread(&self) -> i128 {
+        i128::from(self.n) * i128::from(self.squares) - i128::from(self.sum).pow(2)
+    }
+
+    /// The population standard deviation `√(n·Q − S²) / n`.
+    fn stddev(&self) -> f32 {
+        ((self.spread() as f64).sqrt() / self.n as f64) as f32
+    }
+
+    /// The neighbour scan's threshold: the largest `b ≤ 235` with
+    /// `b ≤ mean + 2.5·stddev`, that is `b·n ≤ S` or
+    /// `4(b·n − S)² ≤ 25(n·Q − S²)`, tested in exact integers. The `f64`
+    /// estimate is at most a step off, and the two loops correct it; `b = 0`
+    /// always passes, so the second stops there at the latest.
+    pub(crate) fn bright(&self) -> u8 {
+        let (n, s, spread) = (i128::from(self.n), i128::from(self.sum), self.spread());
+        let within = |b: i128| {
+            let d = b * n - s;
+            d <= 0 || 4 * d * d <= 25 * spread
+        };
+        let estimate = (s as f64 + 2.5 * (spread as f64).sqrt()) / n as f64;
+        // `as` saturates (and takes NaN to 0), so only the top needs a clamp.
+        let mut b = (estimate as i128).min(235);
+        while b < 235 && within(b + 1) {
+            b += 1;
+        }
+        while b > 0 && !within(b) {
+            b -= 1;
+        }
+        b as u8
     }
 }
 
@@ -164,54 +233,6 @@ impl SceneDetector {
             Some(winner)
         } else {
             None
-        }
-    }
-}
-
-#[cfg(test)]
-impl SceneFeatures {
-    /// The per-pixel body `measure` replaced — the mean as a plain `f32`
-    /// fold, the neighbour tests pixel by pixel — kept as the reference
-    /// the proptests compare against bit for bit.
-    pub(crate) fn measure_reference(frame: &GrayFrame) -> Self {
-        let pixels = frame.pixels();
-        let n = pixels.len() as f32;
-        let mean = pixels.iter().map(|&p| p as f32).sum::<f32>() / n;
-        let stddev = (pixels
-            .iter()
-            .map(|&p| {
-                let d = p as f32 - mean;
-                d * d
-            })
-            .sum::<f32>()
-            / n)
-            .sqrt();
-        let (w, h) = (frame.width(), frame.height());
-        let bright = (mean + 2.5 * stddev).min(235.0) as i32;
-        let mut speckle = 0usize;
-        let mut streaks = 0usize;
-        for y in 1..h - 1 {
-            for x in 1..w - 1 {
-                let v = frame.at(x, y) as i32;
-                if v < bright {
-                    continue;
-                }
-                let above = frame.at(x, y - 1) as i32 >= bright;
-                let below = frame.at(x, y + 1) as i32 >= bright;
-                let left = frame.at(x - 1, y) as i32 >= bright;
-                let right = frame.at(x + 1, y) as i32 >= bright;
-                if !above && !below && !left && !right {
-                    speckle += 1;
-                } else if (above || below) && !left && !right {
-                    streaks += 1;
-                }
-            }
-        }
-        SceneFeatures {
-            mean,
-            stddev,
-            speckle: speckle as f32 / n,
-            streaks: streaks as f32 / n,
         }
     }
 }

@@ -91,11 +91,17 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// `PROPTEST_CASES` cases when that variable holds a number, as in
+    /// real proptest; otherwise 64.
     fn default() -> Self {
         // Real proptest defaults to 256; 64 keeps the pure-Rust tensor
         // workloads inside a fast test budget while still exercising the
         // input space.
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
@@ -286,7 +292,10 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
@@ -406,7 +415,10 @@ macro_rules! prop_assert_eq {
         if !(*l == *r) {
             return ::std::result::Result::Err($crate::TestCaseError(format!(
                 "assertion failed: {} == {}\n  left: {:?}\n right: {:?}",
-                stringify!($left), stringify!($right), l, r
+                stringify!($left),
+                stringify!($right),
+                l,
+                r
             )));
         }
     }};
@@ -420,7 +432,9 @@ macro_rules! prop_assert_ne {
         if *l == *r {
             return ::std::result::Result::Err($crate::TestCaseError(format!(
                 "assertion failed: {} != {}\n  both: {:?}",
-                stringify!($left), stringify!($right), l
+                stringify!($left),
+                stringify!($right),
+                l
             )));
         }
     }};
