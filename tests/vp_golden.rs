@@ -51,8 +51,11 @@ fn fold_mask(h: &mut ContentHasher, mask: &BinaryFrame) {
 /// (raw masks, opened masks, grids).
 fn vp_hashes(frames: &[GrayFrame], config: PreprocessConfig) -> (u64, u64, u64) {
     let mut vp = Preprocessor::new(frames[0].width(), frames[0].height(), config);
-    let (mut raw_h, mut opened_h, mut grid_h) =
-        (ContentHasher::new(), ContentHasher::new(), ContentHasher::new());
+    let (mut raw_h, mut opened_h, mut grid_h) = (
+        ContentHasher::new(),
+        ContentHasher::new(),
+        ContentHasher::new(),
+    );
     let mut opened_bits = 0;
     for frame in frames {
         let (raw, opened, grid) = vp.stages(frame);
@@ -61,7 +64,10 @@ fn vp_hashes(frames: &[GrayFrame], config: PreprocessConfig) -> (u64, u64, u64) 
         grid_h.update_tensor(&grid);
         opened_bits += opened.count();
     }
-    assert!(opened_bits > 0, "the opening erased everything: the pin would be vacuous");
+    assert!(
+        opened_bits > 0,
+        "the opening erased everything: the pin would be vacuous"
+    );
     (raw_h.finish(), opened_h.finish(), grid_h.finish())
 }
 
@@ -80,10 +86,7 @@ fn full_frame_vp_matches_the_parent_build() {
 fn cropped_vp_matches_the_parent_build() {
     // 201 = 3·64 + 9 and 131 = 2·64 + 3: neither side is a multiple of
     // the word size, the grid does not divide the frame, radius 2.
-    let frames: Vec<GrayFrame> = footage()
-        .iter()
-        .map(|f| f.crop(37, 29, 201, 131))
-        .collect();
+    let frames: Vec<GrayFrame> = footage().iter().map(|f| f.crop(37, 29, 201, 131)).collect();
     let config = PreprocessConfig {
         morph_radius: 2,
         grid_width: 7,
