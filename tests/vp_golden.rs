@@ -9,7 +9,10 @@
 //! features or the scene vote has to reproduce them bit for bit.
 //!
 //! If a change moves one of them **on purpose**, say so in DESIGN.md and
-//! replace the constant with what the failing assertion prints.
+//! replace the constant with what the failing assertion prints. One has
+//! moved so far: `FEATURES`, when the scene statistics became exact
+//! integer moments and `stddev`'s bits changed (DESIGN §6, "The scene
+//! vote reads exact integer moments"); every vote stayed.
 
 use safecross::{SceneDetector, SceneFeatures};
 use safecross_tensor::ContentHasher;
@@ -137,5 +140,6 @@ const FULL_GRID: u64 = 0x13c3_00d4_84aa_54c5;
 const CROP_RAW: u64 = 0xb126_93cf_d14b_5946;
 const CROP_OPENED: u64 = 0x6bac_85f3_a29f_c111;
 const CROP_GRID: u64 = 0x6828_37a5_ee9f_ce72;
-const FEATURES: u64 = 0x5f86_1443_67b4_1d10;
+// Printed once `stddev` became √(n·Q − S²) / n from exact integer sums.
+const FEATURES: u64 = 0x7b18_f2f3_33da_edde;
 const VOTES: u64 = 0x7ab5_aee6_2409_8156;
