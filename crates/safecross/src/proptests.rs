@@ -275,9 +275,10 @@ proptest! {
 
     #[test]
     fn nonfinite_logits_fail_safe_to_danger(
-        row in proptest::collection::vec(0usize..7, 1..6),
+        row in proptest::collection::vec(0usize..7, 2..6),
     ) {
-        // Logits drawn from a small pool, so ties, NaN and ±inf are common.
+        // One logit per class at least, drawn from a small pool so that
+        // ties, NaN and ±inf are common.
         const POOL: [f32; 7] = [0.0, 1.0, -2.5, 1.0e-3, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let row: Vec<f32> = row.into_iter().map(|i| POOL[i]).collect();
         let mut probs = vec![0.0; row.len()];
