@@ -43,14 +43,22 @@ impl SceneFeatures {
     /// rows kept in `ring`, which grows to fit the frame once and is
     /// reused after that.
     pub(crate) fn measure_with(frame: &GrayFrame, ring: &mut Vec<u64>) -> Self {
-        let moments = Moments::of(frame.pixels());
-        let (speckle, streaks) = lone_bright_pixels(frame, moments.bright(), ring);
-        let n = frame.pixels().len() as f32;
+        let pixels = frame.pixels();
+        let (n, (sum, squares)) = (pixels.len() as u64, moments(pixels));
+        let (speckle, streaks) = lone_bright_pixels(frame, bright(n, sum, squares), ring);
+        let n_f32 = pixels.len() as f32;
         SceneFeatures {
-            mean: moments.mean(),
-            stddev: moments.stddev(),
-            speckle: speckle as f32 / n,
-            streaks: streaks as f32 / n,
+            // S / n rounded correctly to f32: while S and n are at most
+            // 2²⁴ both convert exactly, so this is `GrayFrame::mean`'s
+            // value bit for bit — every 320×240 frame with a mean below
+            // 218. The f64 quotient is within 2⁻⁵³ relative of S / n, and
+            // a quotient that is not an f32 rounding midpoint lies at
+            // least 2⁻²⁵ / n relative from one, so rounding it again is
+            // still correct below 2²⁸ pixels.
+            mean: (sum as f64 / n as f64) as f32,
+            stddev: ((spread(n, sum, squares) as f64).sqrt() / n as f64) as f32,
+            speckle: speckle as f32 / n_f32,
+            streaks: streaks as f32 / n_f32,
         }
     }
 
@@ -68,80 +76,49 @@ impl SceneFeatures {
     }
 }
 
-/// The exact first and second moments of a frame's pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Moments {
-    /// The pixel count `n`.
-    pub(crate) n: u64,
-    /// `S = Σp`.
-    pub(crate) sum: u64,
-    /// `Q = Σp²`.
-    pub(crate) squares: u64,
+/// `(S, Q) = (Σp, Σp²)` in one pass: in `u32` lanes within each chunk
+/// of 2¹⁶ pixels (2¹⁶ · 255² < 2³²), in `u64` across chunks.
+pub(crate) fn moments(pixels: &[u8]) -> (u64, u64) {
+    let (mut sum, mut squares) = (0u64, 0u64);
+    for chunk in pixels.chunks(1 << 16) {
+        let (s, q) = chunk.iter().fold((0u32, 0u32), |(s, q), &p| {
+            let p = u32::from(p);
+            (s + p, q + p * p)
+        });
+        sum += u64::from(s);
+        squares += u64::from(q);
+    }
+    (sum, squares)
 }
 
-impl Moments {
-    /// Sums `pixels` in one pass: in `u32` lanes within each chunk of
-    /// 2¹⁶ pixels (2¹⁶ · 255² < 2³²), in `u64` across chunks.
-    pub(crate) fn of(pixels: &[u8]) -> Self {
-        let (mut sum, mut squares) = (0u64, 0u64);
-        for chunk in pixels.chunks(1 << 16) {
-            let (s, q) = chunk.iter().fold((0u32, 0u32), |(s, q), &p| {
-                let p = u32::from(p);
-                (s + p, q + p * p)
-            });
-            sum += u64::from(s);
-            squares += u64::from(q);
-        }
-        Moments {
-            n: pixels.len() as u64,
-            sum,
-            squares,
-        }
-    }
+/// `n·Q − S² = n²σ²`, never negative (Cauchy–Schwarz).
+fn spread(n: u64, sum: u64, squares: u64) -> i128 {
+    i128::from(n) * i128::from(squares) - i128::from(sum).pow(2)
+}
 
-    /// `S / n`, rounded correctly to `f32`. While `S` and `n` are at most
-    /// 2²⁴ both convert exactly, so this is [`GrayFrame::mean`]'s value bit
-    /// for bit — every 320×240 frame with a mean below 218. The `f64`
-    /// quotient is within `2⁻⁵³` relative of `S / n`, and a quotient that
-    /// is not an `f32` rounding midpoint lies at least `2⁻²⁵ / n` relative
-    /// from one, so rounding it again to `f32` is still correct for any
-    /// frame under 2²⁸ pixels.
-    fn mean(&self) -> f32 {
-        (self.sum as f64 / self.n as f64) as f32
+/// The neighbour scan's threshold for `n` pixels summing to `S` with
+/// squares summing to `Q`: the largest `b ≤ 235` with
+/// `b ≤ mean + 2.5·stddev`, that is `b·n ≤ S` or
+/// `4(b·n − S)² ≤ 25(n·Q − S²)`, tested in exact integers. The `f64`
+/// estimate is at most a step off, and the two loops correct it; `b = 0`
+/// always passes, so the second stops there at the latest.
+pub(crate) fn bright(n: u64, sum: u64, squares: u64) -> u8 {
+    let spread = spread(n, sum, squares);
+    let (n, s) = (i128::from(n), i128::from(sum));
+    let within = |b: i128| {
+        let d = b * n - s;
+        d <= 0 || 4 * d * d <= 25 * spread
+    };
+    let estimate = (s as f64 + 2.5 * (spread as f64).sqrt()) / n as f64;
+    // `as` saturates (and takes NaN to 0), so only the top needs a clamp.
+    let mut b = (estimate as i128).min(235);
+    while b < 235 && within(b + 1) {
+        b += 1;
     }
-
-    /// `n·Q − S² = n²σ²`, never negative (Cauchy–Schwarz).
-    fn spread(&self) -> i128 {
-        i128::from(self.n) * i128::from(self.squares) - i128::from(self.sum).pow(2)
+    while b > 0 && !within(b) {
+        b -= 1;
     }
-
-    /// The population standard deviation `√(n·Q − S²) / n`.
-    fn stddev(&self) -> f32 {
-        ((self.spread() as f64).sqrt() / self.n as f64) as f32
-    }
-
-    /// The neighbour scan's threshold: the largest `b ≤ 235` with
-    /// `b ≤ mean + 2.5·stddev`, that is `b·n ≤ S` or
-    /// `4(b·n − S)² ≤ 25(n·Q − S²)`, tested in exact integers. The `f64`
-    /// estimate is at most a step off, and the two loops correct it; `b = 0`
-    /// always passes, so the second stops there at the latest.
-    pub(crate) fn bright(&self) -> u8 {
-        let (n, s, spread) = (i128::from(self.n), i128::from(self.sum), self.spread());
-        let within = |b: i128| {
-            let d = b * n - s;
-            d <= 0 || 4 * d * d <= 25 * spread
-        };
-        let estimate = (s as f64 + 2.5 * (spread as f64).sqrt()) / n as f64;
-        // `as` saturates (and takes NaN to 0), so only the top needs a clamp.
-        let mut b = (estimate as i128).min(235);
-        while b < 235 && within(b + 1) {
-            b += 1;
-        }
-        while b > 0 && !within(b) {
-            b -= 1;
-        }
-        b as u8
-    }
+    b as u8
 }
 
 /// Counts the interior pixels (`x ∈ 1..w−1`, `y ∈ 1..h−1`) at least
