@@ -110,8 +110,8 @@ impl GrayFrame {
     /// Mean intensity (useful as a cheap day/weather statistic).
     ///
     /// The result is, bit for bit, the left-to-right `f32` sum of the
-    /// pixels divided by their count — the renderer's contrast step and
-    /// the scene vote both hang off these bits. An `f32` add of integers
+    /// pixels divided by their count — the renderer's contrast step hangs
+    /// off these bits, so every rendered frame does. An `f32` add of integers
     /// is exact while the running sum stays ≤ 2²⁴, so that prefix of the
     /// fold is done in integers (any order, so it vectorises) and only
     /// what is left — nothing, for a 320×240 frame with mean < 218 — is
